@@ -13,7 +13,6 @@ import (
 
 	"github.com/ftpim/ftpim/internal/core"
 	"github.com/ftpim/ftpim/internal/data"
-	"github.com/ftpim/ftpim/internal/ecoc"
 	"github.com/ftpim/ftpim/internal/experiments"
 	"github.com/ftpim/ftpim/internal/fault"
 	"github.com/ftpim/ftpim/internal/models"
@@ -335,19 +334,5 @@ func BenchmarkMarchTest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		reram.MarchTest(x, 1, rng)
-	}
-}
-
-// BenchmarkECOCDecode measures nearest-codeword decoding of one batch
-// of 128 bit-logit rows (100 classes, 64-bit codes).
-func BenchmarkECOCDecode(b *testing.B) {
-	rng := tensor.NewRNG(7)
-	cb := ecoc.NewRandomCodebook(100, 64, rng)
-	logits := tensor.New(128, 64)
-	tensor.FillNormal(logits, rng, 0, 1)
-	labels := make([]int, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cb.Accuracy(logits, labels)
 	}
 }

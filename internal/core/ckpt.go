@@ -124,7 +124,7 @@ func (c *ckptSaver) capture(epoch int, res *Result, bestState []byte, samples in
 	meta := trainMeta{
 		Seed: c.seed, Stage: c.stage, Epochs: c.epochs, Epoch: epoch + 1,
 		FaultRate: c.rate, Samples: samples,
-		Numerics: tensor.ActiveNumerics().String(),
+		Numerics:    tensor.ActiveNumerics().String(),
 		BestEvalAcc: res.BestEvalAcc, BestEpoch: res.BestEpoch,
 		HasBest: bestState != nil,
 		History: res.History, Prefix: c.prefix,

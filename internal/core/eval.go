@@ -267,108 +267,111 @@ func EvalDefect(ctx context.Context, net *nn.Network, ds *data.Dataset, psa floa
 // passes one pool so clones survive across its rates. cfg must already
 // be normalized.
 func evalDefect(ctx context.Context, net *nn.Network, ds *data.Dataset, psa float64, cfg DefectEval, pool *ClonePool) (metrics.Summary, error) {
-	sink := cfg.Sink
-	start := time.Now()
+	runs := cfg.Runs
 	if psa == 0 {
-		// No stochasticity at rate zero; one clean pass suffices.
-		if err := ctx.Err(); err != nil {
-			return metrics.Summary{}, err
-		}
-		acc := metrics.Evaluate(net, ds, cfg.Batch)
-		if sink.Enabled() {
-			sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: 1, Rate: 0, Acc: acc})
-			sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(start).Seconds(), N: 1})
-		}
-		return metrics.Summarize([]float64{acc}), nil
+		runs = 1 // no stochasticity at rate zero; one clean pass suffices
 	}
-	if cfg.Workers > 1 && cfg.Runs > 1 {
-		return evalDefectParallel(ctx, net, ds, psa, cfg, start, pool)
-	}
-	// Serial reference path: inject into the live network, evaluate,
-	// undo. The parallel path must match this bit for bit.
-	inj := cfg.Scenario.NewInjector(WeightTensors(net))
-	hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
-	accs := make([]float64, 0, cfg.Runs)
-	for run := 0; run < cfg.Runs; run++ {
-		if err := ctx.Err(); err != nil {
-			return metrics.Summary{}, err
-		}
-		acc := evalRun(net, ds, cfg, inj, hook, run, psa)
-		accs = append(accs, acc)
-		if sink.Enabled() {
-			sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
-		}
-	}
-	if sink.Enabled() {
-		sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(start).Seconds(), N: cfg.Runs})
+	accs, err := evalRuns(ctx, net, ds, psa, 0, runs, cfg, pool)
+	if err != nil {
+		return metrics.Summary{}, err
 	}
 	return metrics.Summarize(accs), nil
 }
 
-// evalDefectParallel fans the Monte-Carlo runs out over cfg.Workers
-// workers. Each worker owns one deep clone of the network (fault
-// injection mutates weights in place, and layers keep scratch buffers,
-// so the live network cannot be shared); run r draws from fault.RunRNG
-// (cfg.Seed, r) exactly as the serial loop does and stores its
-// accuracy at index r, so the Summary is computed over the identical
-// value sequence regardless of scheduling. When pool is non-nil the
-// worker clones are checked out of it and returned on exit, so a
-// multi-rate sweep reuses them instead of re-cloning per rate. On
-// cancellation the dispatcher stops handing out runs, the workers
-// drain and finish their clones (the live network was never touched),
-// and the zero Summary plus ctx's error is returned.
-func evalDefectParallel(ctx context.Context, net *nn.Network, ds *data.Dataset, psa float64, cfg DefectEval, start time.Time, pool *ClonePool) (metrics.Summary, error) {
-	w := cfg.Workers
-	if w > cfg.Runs {
-		w = cfg.Runs
-	}
+// evalRuns is the Monte-Carlo engine behind EvalDefect and
+// EvalDefectRuns: it evaluates the runs [start, end) at rate psa and
+// returns their accuracies in run order. Run r draws its faults from
+// fault.RunRNG(cfg.Seed, r) — position alone — so all three branches
+// yield the identical value sequence:
+//
+//   - at psa == 0 nothing is drawn: one clean pass fills every slot;
+//   - with one worker or one run, the serial reference loop injects
+//     into the live network, evaluates and undoes;
+//   - otherwise the runs fan out over min(cfg.Workers, runs) workers,
+//     each owning a deep clone (fault injection mutates weights in
+//     place and layers keep scratch buffers, so the live network
+//     cannot be shared). Clones come from pool when it is non-nil, so
+//     a multi-rate sweep reuses them, and are fresh otherwise.
+//
+// One eval.run event is emitted per evaluated run (the clean pass
+// counts as one) and one eval timing event per call. Cancelling ctx
+// stops at the next run boundary: the serial loop undoes the lesion in
+// flight first, the parallel dispatcher stops handing out runs and its
+// workers drain. Either way the live network's weights are restored,
+// and the error is ctx's. cfg must be normalized and end > start.
+func evalRuns(ctx context.Context, net *nn.Network, ds *data.Dataset, psa float64, start, end int, cfg DefectEval, pool *ClonePool) ([]float64, error) {
 	sink := cfg.Sink
-	accs := make([]float64, cfg.Runs)
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < w; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var e *CloneEntry
-			if pool != nil {
-				e = pool.Get()
-				defer pool.Put(e)
-			} else {
-				evalCloneCreates.Add(1)
-				e = &CloneEntry{Net: net.Clone()}
-			}
-			inj := e.InjectorFor(cfg.Scenario)
-			hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
-			for run := range jobs {
-				if ctx.Err() != nil {
-					continue // drain without evaluating
-				}
-				acc := evalRun(e.Net, ds, cfg, inj, hook, run, psa)
-				accs[run] = acc
-				if sink.Enabled() {
-					sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
-				}
-			}
-		}()
-	}
-dispatch:
-	for run := 0; run < cfg.Runs; run++ {
-		select {
-		case jobs <- run:
-		case <-ctx.Done():
-			break dispatch
+	t0 := time.Now()
+	accs := make([]float64, end-start)
+	record := func(run int, acc float64) {
+		accs[run-start] = acc
+		if sink.Enabled() {
+			sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
 		}
 	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return metrics.Summary{}, err
+	switch {
+	case psa == 0:
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		record(start, metrics.Evaluate(net, ds, cfg.Batch))
+		for i := range accs {
+			accs[i] = accs[0]
+		}
+	case cfg.Workers > 1 && len(accs) > 1:
+		jobs := make(chan int)
+		var wg sync.WaitGroup
+		for range min(cfg.Workers, len(accs)) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var e *CloneEntry
+				if pool != nil {
+					e = pool.Get()
+					defer pool.Put(e)
+				} else {
+					evalCloneCreates.Add(1)
+					e = &CloneEntry{Net: net.Clone()}
+				}
+				inj := e.InjectorFor(cfg.Scenario)
+				hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
+				for run := range jobs {
+					if ctx.Err() != nil {
+						continue // drain without evaluating
+					}
+					record(run, evalRun(e.Net, ds, cfg, inj, hook, run, psa))
+				}
+			}()
+		}
+	dispatch:
+		for run := start; run < end; run++ {
+			select {
+			case jobs <- run:
+			case <-ctx.Done():
+				break dispatch
+			}
+		}
+		close(jobs)
+		wg.Wait()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	default:
+		// Serial reference path: inject into the live network,
+		// evaluate, undo. The parallel branch must match it bit for bit.
+		inj := cfg.Scenario.NewInjector(WeightTensors(net))
+		hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
+		for run := start; run < end; run++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			record(run, evalRun(net, ds, cfg, inj, hook, run, psa))
+		}
 	}
 	if sink.Enabled() {
-		sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(start).Seconds(), N: cfg.Runs})
+		sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(t0).Seconds(), N: len(accs)})
 	}
-	return metrics.Summarize(accs), nil
+	return accs, nil
 }
 
 // RateSeed derives the Monte-Carlo seed of rate index i in a sweep:
@@ -401,85 +404,10 @@ func EvalDefectRuns(ctx context.Context, net *nn.Network, ds *data.Dataset, psa 
 		return nil, err
 	}
 	cfg = cfg.Normalize()
-	n := end - start
-	if n == 0 {
+	if end == start {
 		return nil, ctx.Err()
 	}
-	sink := cfg.Sink
-	tStart := time.Now()
-	accs := make([]float64, n)
-	if psa == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		acc := metrics.Evaluate(net, ds, cfg.Batch)
-		for i := range accs {
-			accs[i] = acc
-		}
-		if sink.Enabled() {
-			sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: start + 1, Rate: 0, Acc: acc})
-			sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(tStart).Seconds(), N: n})
-		}
-		return accs, nil
-	}
-	if w := cfg.Workers; w > 1 && n > 1 {
-		if w > n {
-			w = n
-		}
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for i := 0; i < w; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e := &CloneEntry{Net: net.Clone()}
-				inj := e.InjectorFor(cfg.Scenario)
-				hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
-				for run := range jobs {
-					if ctx.Err() != nil {
-						continue // drain without evaluating
-					}
-					acc := evalRun(e.Net, ds, cfg, inj, hook, run, psa)
-					accs[run-start] = acc
-					if sink.Enabled() {
-						sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
-					}
-				}
-			}()
-		}
-	dispatch:
-		for run := start; run < end; run++ {
-			select {
-			case jobs <- run:
-			case <-ctx.Done():
-				break dispatch
-			}
-		}
-		close(jobs)
-		wg.Wait()
-	} else {
-		// Serial path: inject into the live network, evaluate, undo —
-		// exactly the EvalDefect reference loop over a sub-range.
-		inj := cfg.Scenario.NewInjector(WeightTensors(net))
-		hook := newStepHook(cfg.Scenario, inj, cfg.Seed, psa)
-		for run := start; run < end; run++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			acc := evalRun(net, ds, cfg, inj, hook, run, psa)
-			accs[run-start] = acc
-			if sink.Enabled() {
-				sink.Emit(obs.Event{Kind: obs.KindEvalRun, Run: run + 1, Rate: psa, Acc: acc})
-			}
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if sink.Enabled() {
-		sink.Emit(obs.Event{Kind: obs.KindTiming, Phase: "eval", Seconds: time.Since(tStart).Seconds(), N: n})
-	}
-	return accs, nil
+	return evalRuns(ctx, net, ds, psa, start, end, cfg, nil)
 }
 
 // EvalDefectSweep evaluates the model across a list of testing fault

@@ -45,13 +45,28 @@ func presetFixture(t *testing.T, preset string) (*nn.Network, *data.Dataset) {
 	return net, test
 }
 
+// evalR unwraps EvalDefectRuns under a background context.
+func evalR(t *testing.T, net *nn.Network, ds *data.Dataset, psa float64, start, end int, cfg core.DefectEval) []float64 {
+	t.Helper()
+	accs, err := core.EvalDefectRuns(ctxbg, net, ds, psa, start, end, cfg)
+	if err != nil {
+		t.Fatalf("EvalDefectRuns: %v", err)
+	}
+	if len(accs) != end-start {
+		t.Fatalf("EvalDefectRuns [%d,%d): %d accuracies", start, end, len(accs))
+	}
+	return accs
+}
+
 // TestEvalDefectDeterminism checks that EvalDefect produces exactly
 // equal Summary values (bitwise float equality) at every worker count,
-// on both the smoke and quick presets.
+// on both the smoke and quick presets, and that EvalDefectRuns over a
+// split of the run range folds back to the same Summary.
 func TestEvalDefectDeterminism(t *testing.T) {
 	for _, preset := range []string{"smoke", "quick"} {
 		t.Run(preset, func(t *testing.T) {
 			net, test := presetFixture(t, preset)
+			before := net.Snapshot()
 			base := core.DefectEval{Runs: 6, Batch: 32, Seed: 42, Workers: 1}
 			for _, psa := range []float64{0.005, 0.05, 0.2} {
 				want := evalD(t, net, test, psa, base)
@@ -63,6 +78,28 @@ func TestEvalDefectDeterminism(t *testing.T) {
 						t.Fatalf("psa=%g workers=%d: %+v != serial %+v", psa, w, got, want)
 					}
 				}
+				for _, w := range []int{1, 3} {
+					cfg := base
+					cfg.Workers = w
+					const k = 2
+					accs := append(evalR(t, net, test, psa, 0, k, cfg), evalR(t, net, test, psa, k, cfg.Runs, cfg)...)
+					if got := metrics.Summarize(accs); got != want {
+						t.Fatalf("psa=%g workers=%d: EvalDefectRuns folds to %+v, EvalDefect %+v", psa, w, got, want)
+					}
+				}
+			}
+			clean := core.EvalClean(net, test, base.Batch)
+			for _, w := range []int{1, 3} {
+				cfg := base
+				cfg.Workers = w
+				for i, acc := range evalR(t, net, test, 0, 1, 4, cfg) {
+					if acc != clean {
+						t.Fatalf("psa=0 workers=%d: slot %d = %v, want clean accuracy %v", w, i, acc, clean)
+					}
+				}
+			}
+			if string(net.Snapshot()) != string(before) {
+				t.Fatal("EvalDefect/EvalDefectRuns mutated the live network")
 			}
 		})
 	}

@@ -30,17 +30,17 @@
 //
 // # Degradation ladder
 //
-// 1. Healthy pool: leases round-robin to whoever asks first.
-// 2. Worker lost or stalled: its leases are re-issued to the
-//    survivors (obs events dist.worker.lost / dist.reissue).
-// 3. Empty pool (no worker ever joined, or all died) for longer than
-//    FallbackAfter: the coordinator executes pending leases in-process
-//    through Config.Local (dist.fallback events) — the sweep always
-//    completes, just slower.
-// 4. Cancellation (SIGTERM): assignment stops, in-flight leases get a
-//    grace period to land, and the fully-completed rate prefix is
-//    returned with ctx's error — the CLI renders the partial table
-//    and exits 0.
+//  1. Healthy pool: leases round-robin to whoever asks first.
+//  2. Worker lost or stalled: its leases are re-issued to the
+//     survivors (obs events dist.worker.lost / dist.reissue).
+//  3. Empty pool (no worker ever joined, or all died) for longer than
+//     FallbackAfter: the coordinator executes pending leases in-process
+//     through Config.Local (dist.fallback events) — the sweep always
+//     completes, just slower.
+//  4. Cancellation (SIGTERM): assignment stops, in-flight leases get a
+//     grace period to land, and the fully-completed rate prefix is
+//     returned with ctx's error — the CLI renders the partial table
+//     and exits 0.
 package dist
 
 import (

@@ -358,12 +358,16 @@ func encodeLayer(l nn.QLayer, bl *blobs) (archLayer, error) {
 		bl.bn = append(bl.bn, t.Scale...)
 		bl.bn = append(bl.bn, t.Shift...)
 		return archLayer{Kind: "bn", C: t.C}, nil
-	case *nn.QReLU:
-		return archLayer{Kind: "relu"}, nil
-	case *nn.QGlobalAvgPool:
-		return archLayer{Kind: "gap"}, nil
-	case *nn.QFlatten:
-		return archLayer{Kind: "flatten"}, nil
+	case *nn.QFloat:
+		switch t.Layer.(type) {
+		case *nn.ReLU:
+			return archLayer{Kind: "relu"}, nil
+		case *nn.GlobalAvgPool2D:
+			return archLayer{Kind: "gap"}, nil
+		case *nn.Flatten:
+			return archLayer{Kind: "flatten"}, nil
+		}
+		return archLayer{}, fmt.Errorf("ftpm: unsupported float layer %T", t.Layer)
 	case nn.QIdentity, *nn.QIdentity:
 		return archLayer{Kind: "identity"}, nil
 	case *nn.QBasicBlock:
@@ -539,11 +543,11 @@ func buildLayer(al archLayer, bl *blobs, allowBlock bool) (nn.QLayer, error) {
 		}
 		return nn.NewQBatchNorm(scale, shift), nil
 	case "relu":
-		return nn.NewQReLU(), nil
+		return &nn.QFloat{Layer: nn.NewReLU()}, nil
 	case "gap":
-		return nn.NewQGlobalAvgPool(), nil
+		return &nn.QFloat{Layer: nn.NewGlobalAvgPool2D()}, nil
 	case "flatten":
-		return nn.NewQFlatten(), nil
+		return &nn.QFloat{Layer: nn.NewFlatten()}, nil
 	case "identity":
 		return nn.NewQIdentity(), nil
 	case "block":

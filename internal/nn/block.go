@@ -19,7 +19,6 @@ type BasicBlock struct {
 	BN2   *BatchNorm2D
 
 	relu1, relu2 *ReLU
-	downsample   bool
 	inC, outC    int
 	stride       int
 	lastInShape  []int
@@ -30,52 +29,60 @@ type BasicBlock struct {
 // the given stride on its first convolution.
 func NewBasicBlock(name string, inC, outC, stride int, rng *tensor.RNG) *BasicBlock {
 	return &BasicBlock{
-		Conv1:      NewConv2D(name+".conv1", inC, outC, 3, 3, stride, 1, false, rng),
-		BN1:        NewBatchNorm2D(name+".bn1", outC),
-		Conv2:      NewConv2D(name+".conv2", outC, outC, 3, 3, 1, 1, false, rng),
-		BN2:        NewBatchNorm2D(name+".bn2", outC),
-		relu1:      NewReLU(),
-		relu2:      NewReLU(),
-		downsample: stride != 1 || inC != outC,
-		inC:        inC, outC: outC, stride: stride,
+		Conv1: NewConv2D(name+".conv1", inC, outC, 3, 3, stride, 1, false, rng),
+		BN1:   NewBatchNorm2D(name+".bn1", outC),
+		Conv2: NewConv2D(name+".conv2", outC, outC, 3, 3, 1, 1, false, rng),
+		BN2:   NewBatchNorm2D(name+".bn2", outC),
+		relu1: NewReLU(),
+		relu2: NewReLU(),
+		inC:   inC, outC: outC, stride: stride,
 	}
 }
 
 // Forward runs the residual block.
 func (b *BasicBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.lastInShape = append(b.lastInShape[:0], x.Shape()...)
+	return b.tail(x, b.head(x, train), train)
+}
+
+// head runs the residual branch up to Conv2's input: ReLU(BN1(Conv1(x))).
+func (b *BasicBlock) head(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h := b.Conv1.Forward(x, train)
 	h = b.BN1.Forward(h, train)
-	h = b.relu1.Forward(h, train)
+	return b.relu1.Forward(h, train)
+}
+
+// tail finishes the block from Conv2's input h and the block input x:
+// ReLU(BN2(Conv2(h)) + shortcut(x)).
+func (b *BasicBlock) tail(x, h *tensor.Tensor, train bool) *tensor.Tensor {
 	h = b.Conv2.Forward(h, train)
 	h = b.BN2.Forward(h, train)
-
-	var short *tensor.Tensor
-	if b.downsample {
-		short = b.shortcutForward(x)
-	} else {
-		short = x
-	}
-	h.AddInPlace(short)
+	h.AddInPlace(optionAShortcut(&b.ws, x, b.inC, b.outC, b.stride))
 	return b.relu2.Forward(h, train)
 }
 
-// shortcutForward implements option-A: spatial subsample + channel pad.
-func (b *BasicBlock) shortcutForward(x *tensor.Tensor) *tensor.Tensor {
-	n, _, hIn, wIn := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	hOut := (hIn + b.stride - 1) / b.stride
-	wOut := (wIn + b.stride - 1) / b.stride
+// optionAShortcut is the residual shortcut of a block mapping inC→outC
+// channels at the given stride: x itself when the shape is preserved,
+// otherwise option A — stride-s spatial subsampling with zero-padded
+// channels, written into ws slot 0.
+func optionAShortcut(ws *tensor.Workspace, x *tensor.Tensor, inC, outC, stride int) *tensor.Tensor {
+	if stride == 1 && inC == outC {
+		return x
+	}
+	n, hIn, wIn := x.Dim(0), x.Dim(2), x.Dim(3)
+	hOut := (hIn + stride - 1) / stride
+	wOut := (wIn + stride - 1) / stride
 	// Zero-padded channels [inC, outC) are never written below, so the
 	// reused buffer must start zeroed.
-	out := b.ws.GetZeroed(0, n, b.outC, hOut, wOut)
+	out := ws.GetZeroed(0, n, outC, hOut, wOut)
 	xd, od := x.Data(), out.Data()
 	for i := 0; i < n; i++ {
-		for c := 0; c < b.inC; c++ {
-			inBase := (i*b.inC + c) * hIn * wIn
-			outBase := (i*b.outC + c) * hOut * wOut
+		for c := 0; c < inC; c++ {
+			inBase := (i*inC + c) * hIn * wIn
+			outBase := (i*outC + c) * hOut * wOut
 			for y := 0; y < hOut; y++ {
 				for xcol := 0; xcol < wOut; xcol++ {
-					od[outBase+y*wOut+xcol] = xd[inBase+y*b.stride*wIn+xcol*b.stride]
+					od[outBase+y*wOut+xcol] = xd[inBase+y*stride*wIn+xcol*stride]
 				}
 			}
 		}
@@ -83,8 +90,11 @@ func (b *BasicBlock) shortcutForward(x *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
-// shortcutBackward scatters a gradient through the option-A shortcut.
+// shortcutBackward scatters a gradient through the shortcut.
 func (b *BasicBlock) shortcutBackward(dOut *tensor.Tensor) *tensor.Tensor {
+	if b.stride == 1 && b.inC == b.outC {
+		return dOut
+	}
 	n := dOut.Dim(0)
 	hIn, wIn := b.lastInShape[2], b.lastInShape[3]
 	hOut, wOut := dOut.Dim(2), dOut.Dim(3)
@@ -115,13 +125,7 @@ func (b *BasicBlock) Backward(dOut *tensor.Tensor) *tensor.Tensor {
 	dBranch = b.BN1.Backward(dBranch)
 	dBranch = b.Conv1.Backward(dBranch)
 
-	var dShort *tensor.Tensor
-	if b.downsample {
-		dShort = b.shortcutBackward(d)
-	} else {
-		dShort = d
-	}
-	dBranch.AddInPlace(dShort)
+	dBranch.AddInPlace(b.shortcutBackward(d))
 	return dBranch
 }
 

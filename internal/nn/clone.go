@@ -70,8 +70,7 @@ func (b *BasicBlock) CloneLayer() Layer {
 		Conv2: b.Conv2.CloneLayer().(*Conv2D),
 		BN2:   b.BN2.CloneLayer().(*BatchNorm2D),
 		relu1: NewReLU(), relu2: NewReLU(),
-		downsample: b.downsample,
-		inC:        b.inC, outC: b.outC, stride: b.stride,
+		inC: b.inC, outC: b.outC, stride: b.stride,
 	}
 }
 

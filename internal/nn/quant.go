@@ -10,7 +10,9 @@ package nn
 // (Im2RowS8 + GemmS8TB, int32 accumulators). Everything the int8
 // contract cannot express well — batch norm, ReLU, pooling, the
 // residual add — runs in float32 on the dequantized activations, so
-// only the GEMM-shaped 99% of the FLOPs moves to int8.
+// only the GEMM-shaped 99% of the FLOPs moves to int8. The
+// parameter-free float steps are the float layers themselves (QFloat,
+// and the shared option-A shortcut in QBasicBlock).
 //
 // Determinism: integer accumulation is associative, so the int8 GEMMs
 // are bit-identical across kernel tiers AND worker counts (a stronger
@@ -288,83 +290,20 @@ func (l *QBatchNorm) Forward(x *tensor.Tensor) *tensor.Tensor {
 // CloneQ shares the affine, fresh workspace.
 func (l *QBatchNorm) CloneQ() QLayer { return NewQBatchNorm(l.Scale, l.Shift) }
 
-// QReLU clamps negatives to zero (float, inference only).
-type QReLU struct {
-	ws tensor.Workspace
+// QFloat runs a parameter-free float layer — ReLU, GlobalAvgPool2D or
+// Flatten — in inference mode as a step of the quantized path.
+type QFloat struct {
+	Layer Layer
 }
 
-// NewQReLU returns a quantized-path ReLU.
-func NewQReLU() *QReLU { return &QReLU{} }
+// Forward runs the float layer with train=false.
+func (l *QFloat) Forward(x *tensor.Tensor) *tensor.Tensor { return l.Layer.Forward(x, false) }
 
-// Forward clamps negatives; explicit zeros because the workspace
-// buffer carries the previous batch's values.
-func (l *QReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
-	out := l.ws.Get(0, x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-		} else {
-			od[i] = 0
-		}
-	}
-	return out
-}
-
-// CloneQ returns a fresh ReLU.
-func (l *QReLU) CloneQ() QLayer { return NewQReLU() }
-
-// QGlobalAvgPool averages each channel spatially: (N,C,H,W) → (N,C).
-type QGlobalAvgPool struct {
-	ws tensor.Workspace
-}
-
-// NewQGlobalAvgPool returns a quantized-path global average pool.
-func NewQGlobalAvgPool() *QGlobalAvgPool { return &QGlobalAvgPool{} }
-
-// Forward averages spatially.
-func (l *QGlobalAvgPool) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n, c, h, w := x.Dim(0), x.Dim(1), x.Dim(2), x.Dim(3)
-	area := h * w
-	out := l.ws.Get(0, n, c)
-	xd, od := x.Data(), out.Data()
-	inv := 1 / float32(area)
-	for i := 0; i < n; i++ {
-		for ch := 0; ch < c; ch++ {
-			base := (i*c + ch) * area
-			var s float32
-			for j := 0; j < area; j++ {
-				s += xd[base+j]
-			}
-			od[i*c+ch] = s * inv
-		}
-	}
-	return out
-}
-
-// CloneQ returns a fresh pool.
-func (l *QGlobalAvgPool) CloneQ() QLayer { return NewQGlobalAvgPool() }
-
-// QFlatten reshapes (N, ...) to (N, rest) as a view.
-type QFlatten struct {
-	ws tensor.Workspace
-}
-
-// NewQFlatten returns a quantized-path flatten.
-func NewQFlatten() *QFlatten { return &QFlatten{} }
-
-// Forward flattens all but the batch dimension.
-func (l *QFlatten) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
-	return l.ws.View(0, x.Data(), n, x.Len()/n)
-}
-
-// CloneQ returns a fresh flatten.
-func (l *QFlatten) CloneQ() QLayer { return NewQFlatten() }
+// CloneQ wraps a fresh copy of the float layer.
+func (l *QFloat) CloneQ() QLayer { return &QFloat{Layer: l.Layer.CloneLayer()} }
 
 // QBasicBlock is the quantized residual block: int8 convs, folded BN,
-// float ReLUs and residual add, option-A shortcut exactly as the
-// float BasicBlock computes it.
+// float ReLUs and residual add, with the float BasicBlock's shortcut.
 type QBasicBlock struct {
 	Conv1 *QConv2D
 	BN1   *QBatchNorm
@@ -373,8 +312,7 @@ type QBasicBlock struct {
 
 	InC, OutC, Stride int
 
-	downsample   bool
-	relu1, relu2 QReLU
+	relu1, relu2 ReLU
 	ws           tensor.Workspace // slot 0: shortcut out
 }
 
@@ -383,7 +321,6 @@ func NewQBasicBlock(conv1 *QConv2D, bn1 *QBatchNorm, conv2 *QConv2D, bn2 *QBatch
 	return &QBasicBlock{
 		Conv1: conv1, BN1: bn1, Conv2: conv2, BN2: bn2,
 		InC: inC, OutC: outC, Stride: stride,
-		downsample: stride != 1 || inC != outC,
 	}
 }
 
@@ -391,39 +328,11 @@ func NewQBasicBlock(conv1 *QConv2D, bn1 *QBatchNorm, conv2 *QConv2D, bn2 *QBatch
 func (b *QBasicBlock) Forward(x *tensor.Tensor) *tensor.Tensor {
 	h := b.Conv1.Forward(x)
 	h = b.BN1.Forward(h)
-	h = b.relu1.Forward(h)
+	h = b.relu1.Forward(h, false)
 	h = b.Conv2.Forward(h)
 	h = b.BN2.Forward(h)
-	var short *tensor.Tensor
-	if b.downsample {
-		short = b.shortcut(x)
-	} else {
-		short = x
-	}
-	h.AddInPlace(short)
-	return b.relu2.Forward(h)
-}
-
-// shortcut is the option-A projection: stride-s spatial subsample with
-// zero-padded channels, matching BasicBlock.shortcutForward.
-func (b *QBasicBlock) shortcut(x *tensor.Tensor) *tensor.Tensor {
-	n, hIn, wIn := x.Dim(0), x.Dim(2), x.Dim(3)
-	hOut := (hIn + b.Stride - 1) / b.Stride
-	wOut := (wIn + b.Stride - 1) / b.Stride
-	out := b.ws.GetZeroed(0, n, b.OutC, hOut, wOut)
-	xd, od := x.Data(), out.Data()
-	for i := 0; i < n; i++ {
-		for c := 0; c < b.InC; c++ {
-			inBase := (i*b.InC + c) * hIn * wIn
-			outBase := (i*b.OutC + c) * hOut * wOut
-			for y := 0; y < hOut; y++ {
-				for xcol := 0; xcol < wOut; xcol++ {
-					od[outBase+y*wOut+xcol] = xd[inBase+y*b.Stride*wIn+xcol*b.Stride]
-				}
-			}
-		}
-	}
-	return out
+	h.AddInPlace(optionAShortcut(&b.ws, x, b.InC, b.OutC, b.Stride))
+	return b.relu2.Forward(h, false)
 }
 
 // CloneQ deep-clones the block structure, sharing the weight planes.
@@ -515,12 +424,8 @@ func quantizeLayer(fl Layer) (QLayer, error) {
 		return NewQLinear(f.In, f.Out, wq, ws, bias, 0), nil
 	case *BatchNorm2D:
 		return foldBatchNorm(f), nil
-	case *ReLU:
-		return NewQReLU(), nil
-	case *GlobalAvgPool2D:
-		return NewQGlobalAvgPool(), nil
-	case *Flatten:
-		return NewQFlatten(), nil
+	case *ReLU, *GlobalAvgPool2D, *Flatten:
+		return &QFloat{Layer: fl.CloneLayer()}, nil
 	case *Dropout:
 		return NewQIdentity(), nil
 	case *BasicBlock:
@@ -560,8 +465,8 @@ func foldBatchNorm(bn *BatchNorm2D) *QBatchNorm {
 }
 
 // calibStep advances one float layer in inference mode while feeding
-// quantized-layer input observations. BasicBlock is walked internally
-// so its second conv sees its true input.
+// quantized-layer input observations. BasicBlock runs as its head and
+// tail halves so its second conv's input can be observed.
 func calibStep(fl Layer, ql QLayer, x *tensor.Tensor) *tensor.Tensor {
 	switch f := fl.(type) {
 	case *Conv2D:
@@ -571,20 +476,9 @@ func calibStep(fl Layer, ql QLayer, x *tensor.Tensor) *tensor.Tensor {
 	case *BasicBlock:
 		qb := ql.(*QBasicBlock)
 		qb.Conv1.observe(x)
-		h := f.Conv1.Forward(x, false)
-		h = f.BN1.Forward(h, false)
-		h = f.relu1.Forward(h, false)
+		h := f.head(x, false)
 		qb.Conv2.observe(h)
-		h = f.Conv2.Forward(h, false)
-		h = f.BN2.Forward(h, false)
-		var short *tensor.Tensor
-		if f.downsample {
-			short = f.shortcutForward(x)
-		} else {
-			short = x
-		}
-		h.AddInPlace(short)
-		return f.relu2.Forward(h, false)
+		return f.tail(x, h, false)
 	}
 	return fl.Forward(x, false)
 }

@@ -327,16 +327,25 @@ func TestQueueFullAnswers429(t *testing.T) {
 	body, _ := json.Marshal(InferRequest{Image: testImage(test)})
 
 	exec := <-s.execs // dispatch now blocks; nothing can execute
+	release := func() {
+		if exec != nil {
+			s.execs <- exec
+			exec = nil
+		}
+	}
+	// Runs before newTestServer's Drain: a failure below must hand the
+	// executor back, or Drain would wait on the held batch forever.
+	t.Cleanup(release)
 
 	codes := make(chan int, 3)
 	post := func() {
 		rec := postJSON(h, "/v1/infer", body)
 		codes <- rec.Code
 	}
-	// First request: pulled by the batcher into a batch stuck in
-	// dispatch. Two more: fill the queue.
+	// First request: admitted, then pulled by the batcher into a batch
+	// stuck in dispatch. Two more: fill the queue.
 	go post()
-	waitFor(t, func() bool { return len(s.queue) == 0 && s.batchSeq.Load() == 0 })
+	waitFor(t, func() bool { return s.accepted.Load() == 1 && len(s.queue) == 0 })
 	go post()
 	go post()
 	waitFor(t, func() bool { return len(s.queue) == 2 })
@@ -353,7 +362,7 @@ func TestQueueFullAnswers429(t *testing.T) {
 		t.Fatalf("429 body = %s", rec.Body)
 	}
 
-	s.execs <- exec // release: the three held requests must complete
+	release() // the three held requests must complete
 	for i := 0; i < 3; i++ {
 		if code := <-codes; code != http.StatusOK {
 			t.Fatalf("held request finished with HTTP %d", code)

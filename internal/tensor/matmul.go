@@ -566,9 +566,8 @@ func MatVec(a *Tensor, x []float32) []float32 {
 }
 
 // MatVecInto computes dst = A·x into a caller-provided destination of
-// length m, returning dst. Hot callers (ECOC decoding, crossbar
-// evaluation) reuse one destination across calls to stay
-// allocation-free.
+// length m, returning dst. Hot callers (crossbar evaluation) reuse one
+// destination across calls to stay allocation-free.
 func MatVecInto(dst []float32, a *Tensor, x []float32) []float32 {
 	m, n := a.shape[0], a.shape[1]
 	if len(x) != n {

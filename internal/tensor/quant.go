@@ -5,7 +5,7 @@ import (
 	"math"
 )
 
-// Int8 symmetric quantization and integer GEMM/GEMV kernels.
+// Int8 symmetric quantization and the integer GEMM kernel.
 //
 // The quantized representation is symmetric with zero-point 0:
 //
@@ -20,9 +20,10 @@ import (
 // Integer addition is associative, so unlike the float kernels the
 // int8 family needs no ULP contract: the AVX2 variant (quant_fast.go)
 // is bit-identical to the scalar kernels here, and sharding output
-// rows across workers cannot change any output element. The tests in
-// quant_test.go pin scalar/AVX2 identity and worker invariance as
-// exact equality.
+// rows across workers cannot change any output element. The AVX2
+// kernels are therefore chosen by CPU support alone, never by the
+// numerics tier. The tests in quant_test.go pin scalar/AVX2 identity
+// and worker invariance as exact equality.
 
 // QuantClamp is the symmetric int8 clamp bound: quantized values live
 // in [-QuantClamp, QuantClamp] so +x and -x always map to ±q.
@@ -98,30 +99,6 @@ func QuantizeRows(dst []int8, scales []float32, src []float32, rows, cols int) {
 	}
 }
 
-// Dequantize expands src back to float32: dst[i] = scale * src[i].
-func Dequantize(dst []float32, src []int8, scale float32) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: Dequantize length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i, q := range src {
-		dst[i] = scale * float32(q)
-	}
-}
-
-// DotS8 returns the int32 dot product of two equal-length int8
-// vectors. On the fast tier it runs the VPMADDWD microkernel over the
-// widest multiple of 16 with a scalar tail; the result is bit-identical
-// either way.
-func DotS8(a, b []int8) int32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: DotS8 length mismatch %d vs %d", len(a), len(b)))
-	}
-	if useFast() {
-		return fastDotS8(a, b)
-	}
-	return dotS8Ref(a, b)
-}
-
 // dotS8Ref is the scalar int8 dot kernel (and the oracle the AVX2
 // variant must match bit for bit).
 func dotS8Ref(a, b []int8) int32 {
@@ -135,24 +112,6 @@ func dotS8Ref(a, b []int8) int32 {
 		s += int32(a[p]) * int32(b[p])
 	}
 	return s
-}
-
-// GemvS8 computes dst = A·x for an int8 matrix A (m×k, row-major) and
-// int8 vector x (k), accumulating in int32. dst must have length m.
-func GemvS8(dst []int32, a, x []int8, m, k int) {
-	if len(a) != m*k || len(x) != k || len(dst) != m {
-		panic(fmt.Sprintf("tensor: GemvS8 shape mismatch m=%d k=%d a=%d x=%d dst=%d",
-			m, k, len(a), len(x), len(dst)))
-	}
-	if useFast() {
-		for i := 0; i < m; i++ {
-			dst[i] = fastDotS8(a[i*k:(i+1)*k], x)
-		}
-		return
-	}
-	for i := 0; i < m; i++ {
-		dst[i] = dotS8Ref(a[i*k:(i+1)*k], x)
-	}
 }
 
 // GemmS8TB computes dst = A·Bᵀ over raw row-major int8 slices with
@@ -172,14 +131,13 @@ func GemmS8TB(dst []int32, a, b []int8, m, k, n int) {
 	if m == 0 || n == 0 {
 		return
 	}
-	fast := useFast()
 	if m >= 2 && m*k*n >= matMulShardFlops && Workers() > 1 {
 		ParallelFor(m, func(_, lo, hi int) {
-			gemmS8TBRows(dst, a, b, k, n, lo, hi, fast)
+			gemmS8TBRows(dst, a, b, k, n, lo, hi, fastSupported)
 		})
 		return
 	}
-	gemmS8TBRows(dst, a, b, k, n, 0, m, fast)
+	gemmS8TBRows(dst, a, b, k, n, 0, m, fastSupported)
 }
 
 // gemmS8TBRows computes output rows [lo, hi) of dst = A·Bᵀ in 1×4

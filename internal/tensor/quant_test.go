@@ -31,11 +31,10 @@ func TestQuantizeLinearRoundTrip(t *testing.T) {
 	scale := ScaleFor(maxabs)
 	q := make([]int8, len(src))
 	QuantizeLinear(q, src, scale)
-	back := make([]float32, len(src))
-	Dequantize(back, q, scale)
 	for i, v := range src {
-		if diff := math.Abs(float64(back[i] - v)); diff > float64(scale)/2+1e-6 {
-			t.Fatalf("element %d: %v round-trips to %v (scale %v)", i, v, back[i], scale)
+		back := scale * float32(q[i])
+		if diff := math.Abs(float64(back - v)); diff > float64(scale)/2+1e-6 {
+			t.Fatalf("element %d: %v round-trips to %v (scale %v)", i, v, back, scale)
 		}
 	}
 	// Symmetry: +x and -x map to ±q.
@@ -131,7 +130,7 @@ func TestDotS8ExtremeValues(t *testing.T) {
 		a[i], b[i] = -QuantClamp, -QuantClamp
 	}
 	want := int32(k) * QuantClamp * QuantClamp
-	if got := DotS8(a, b); got != want {
+	if got := dotS8Ref(a, b); got != want {
 		t.Fatalf("all -127 dot: %d, want %d", got, want)
 	}
 	if FastSupported() {
@@ -142,8 +141,13 @@ func TestDotS8ExtremeValues(t *testing.T) {
 	for i := range b {
 		b[i] = QuantClamp
 	}
-	if got := DotS8(a, b); got != -want {
+	if got := dotS8Ref(a, b); got != -want {
 		t.Fatalf("mixed-sign dot: %d, want %d", got, -want)
+	}
+	if FastSupported() {
+		if got := fastDotS8(a, b); got != -want {
+			t.Fatalf("fast mixed-sign dot: %d, want %d", got, -want)
+		}
 	}
 }
 
@@ -204,31 +208,6 @@ func TestGemmS8TBWorkerInvariance(t *testing.T) {
 	}
 }
 
-func TestGemvS8MatchesGemm(t *testing.T) {
-	m, k := 13, 37
-	a := randS8(0x6E4, m*k)
-	x := randS8(0x6E5, k)
-	want := make([]int32, m)
-	gemmS8TBRef(want, a, x, m, k, 1)
-	got := make([]int32, m)
-	GemvS8(got, a, x, m, k)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("GemvS8 element %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if FastSupported() {
-		runTier(NumericsFast, func() {
-			GemvS8(got, a, x, m, k)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("fast GemvS8 element %d = %d, want %d", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
-
 // TestIm2RowS8MatchesNaiveGather pins the patch-major int8 gather
 // against a direct per-position receptive-field walk, including the
 // zero-padding bytes.
@@ -264,8 +243,9 @@ func TestIm2RowS8MatchesNaiveGather(t *testing.T) {
 	}
 }
 
-// FuzzGemmS8TBFastVsScalar: on fuzz-chosen shapes the fast int8 GEMM
-// must equal the scalar reference exactly — the integer analogue of
+// FuzzGemmS8TBFastVsScalar: on fuzz-chosen shapes the scalar tiles and
+// GemmS8TB (the AVX2 kernels wherever the CPU has them) must equal the
+// one-dot-per-element reference exactly — the integer analogue of
 // FuzzGemmFastVsExact, with bit equality instead of a ULP budget.
 func FuzzGemmS8TBFastVsScalar(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(7), uint8(9))
@@ -281,18 +261,16 @@ func FuzzGemmS8TBFastVsScalar(f *testing.F) {
 		want := make([]int32, m*n)
 		gemmS8TBRef(want, a, b, m, k, n)
 		got := make([]int32, m*n)
-		runTier(NumericsExact, func() { GemmS8TB(got, a, b, m, k, n) })
+		gemmS8TBRows(got, a, b, k, n, 0, m, false)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("exact GemmS8TB diverged from reference at %d", i)
+				t.Fatalf("scalar GemmS8TB tiles diverged from reference at %d", i)
 			}
 		}
-		if FastSupported() {
-			runTier(NumericsFast, func() { GemmS8TB(got, a, b, m, k, n) })
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("fast GemmS8TB diverged from scalar reference at %d", i)
-				}
+		GemmS8TB(got, a, b, m, k, n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("GemmS8TB (fast=%v) diverged from reference at %d", FastSupported(), i)
 			}
 		}
 	})
@@ -313,20 +291,5 @@ func BenchmarkGemmS8(b *testing.B) {
 				GemmS8TB(dst, a8, b8, m, k, n)
 			}
 		})
-	}
-}
-
-func BenchmarkGemmS8Fast(b *testing.B) {
-	if !FastSupported() {
-		b.Skip("fast tier unsupported")
-	}
-	defer SetNumerics(SetNumerics(NumericsFast))
-	m, k, n := 1024, 144, 16
-	a8 := randS8(1, m*k)
-	b8 := randS8(2, n*k)
-	dst := make([]int32, m*n)
-	b.SetBytes(int64(m*k + n*k + 4*m*n))
-	for i := 0; i < b.N; i++ {
-		GemmS8TB(dst, a8, b8, m, k, n)
 	}
 }
