@@ -6,29 +6,38 @@ package tensor
 // full write+read of a materialized (C·kh·kw) × (outH·outW) column
 // matrix per sample and then runs N tiny per-sample GEMMs that are too
 // small to engage the panel blocking in matmul.go. The kernels here
-// fuse the lowering into the GEMM instead:
+// fuse the lowering into the GEMM instead, and dispatch on the stride
+// alone:
 //
-//   - Forward treats the whole NCHW batch as ONE GEMM of shape
-//     outC × (C·kh·kw) × (N·outH·outW). Input patches are packed
-//     panel-by-panel straight into the pooled panelBuf layout the
-//     blocked tile kernels (gemmTile2/gemmTile1) already consume — the
-//     standalone column matrix is never materialized, and each packed
-//     panel is consumed while still cache-hot. Work parallelizes
-//     across output-column panels, not only across samples.
-//   - Backward streams: dX stages Wᵀ·dY in a pooled scratch block and
-//     a fused col2im consumer scatters it row-by-row into the image
-//     (no per-layer dcol buffer is retained), and dW is computed as
-//     per-sample chunks with column rows generated on the fly (no col
-//     buffer at all).
+//   - Stride 1 (all but the downsampling convolutions of a ResNet)
+//     lowers nothing. Each sample's zero-padded c × hp × wp plane
+//     (hp = h+2·pad, wp = w+2·pad; the input itself when pad is 0) is
+//     read in place: output position (oy, ox) becomes extended column
+//     oy·wp + ox, and B row p = (ch, ky, kx) is then the contiguous
+//     run plane[ch·hp·wp + ky·wp + kx + q'], so a per-row offset table
+//     (rowOffs) replaces the packed panel. Backward generates its
+//     column and patch rows as plain row copies out of the plane and
+//     scatters dX through a zeroed padded gradient plane with
+//     bounds-free row adds.
+//   - Any other stride packs input patches panel-by-panel straight
+//     into the pooled panelBuf layout (Im2ColPanels pins it) and keeps
+//     the bounds-checked im2col/col2im row bodies in backward.
+//
+// Forward treats the whole NCHW batch as ONE GEMM of shape
+// outC × (C·kh·kw) × (N·outH·outW) and parallelizes across
+// (sample, column panel) units. Backward streams per sample: dX stages
+// Wᵀ·dY in a pooled scratch block and scatters it row by row, and dW is
+// computed as per-sample chunks with column rows generated on the fly.
 //
 // Bit-identity contract (§6/§7 of DESIGN.md): every output element's
 // floating-point accumulation order is exactly that of the
-// Im2Col+Gemm / GemmTB / GemmTA+Col2Im composition it replaced.
-// Batching and panel regrouping only change which elements are
-// computed together, never the operation sequence within one element;
-// convgemm_test.go pins this against the materialized composition as
-// the bitwise oracle across a shape grid, a fuzz target, and several
-// worker counts.
+// Im2Col+Gemm / GemmTB / GemmTA+Col2Im composition it replaced. The
+// plane path feeds each valid output element the same operand
+// sequence, padding zeros included; batching, panel regrouping and the
+// extended columns only change which elements are computed together,
+// never the operation sequence within one. convgemm_test.go pins this
+// against the materialized composition as the bitwise oracle across a
+// shape grid, a fuzz target, and several worker counts.
 //
 // One carve-out: the fast tier's dW stage (convSampleDWAxpy in
 // gemm_fast.go) batches rank-1 axpy updates instead of running dot
@@ -139,28 +148,128 @@ func im2colSeg(dst []float32, rowStride int, src []float32, c, h, w, kh, kw, str
 	}
 }
 
+// convGeom is one convolution's shape. hp × wp is the zero-padded
+// plane the stride-1 path reads, and ext = (outH−1)·wp + outW its
+// extended output columns (see convForwardPlane).
+type convGeom struct {
+	c, h, w, kh, kw, stride, pad int
+	outH, outW, hp, wp, ext      int
+}
+
+func newConvGeom(c, h, w, kh, kw, stride, pad int) convGeom {
+	g := convGeom{c: c, h: h, w: w, kh: kh, kw: kw, stride: stride, pad: pad,
+		outH: ConvOutSize(h, kh, stride, pad), outW: ConvOutSize(w, kw, stride, pad),
+		hp: h + 2*pad, wp: w + 2*pad}
+	g.ext = (g.outH-1)*g.wp + g.outW
+	return g
+}
+
+// tap splits column row r into its (channel, ky, kx) tap.
+func (g *convGeom) tap(r int) (ch, ky, kx int) {
+	return r / (g.kh * g.kw), r / g.kw % g.kh, r % g.kw
+}
+
+// planeOff is the plane offset of column row r's tap at output (0, 0).
+func (g *convGeom) planeOff(r int) int {
+	ch, ky, kx := g.tap(r)
+	return ch*g.hp*g.wp + ky*g.wp + kx
+}
+
+// padLen is the scratch one padded plane needs: zero unless the
+// stride-1 path has padding to add.
+func (g *convGeom) padLen() int {
+	if g.stride != 1 || g.pad == 0 {
+		return 0
+	}
+	return g.c * g.hp * g.wp
+}
+
+// plane returns sample x (c×h×w) as the row generators below read it:
+// for stride 1 with padding, the zero-padded plane built in buf;
+// otherwise x itself.
+func (g *convGeom) plane(buf, x []float32) []float32 {
+	if g.padLen() == 0 {
+		return x
+	}
+	pl := buf[:g.padLen()]
+	clear(pl)
+	for ch := 0; ch < g.c; ch++ {
+		for y := 0; y < g.h; y++ {
+			copy(pl[(ch*g.hp+y+g.pad)*g.wp+g.pad:][:g.w], x[(ch*g.h+y)*g.w:])
+		}
+	}
+	return pl
+}
+
+// colRow writes column row r of sample plane x — its (ch, ky, kx) tap
+// over every output position — into d (outH·outW long).
+func (g *convGeom) colRow(d, x []float32, r int) {
+	if g.stride != 1 {
+		ch, ky, kx := g.tap(r)
+		im2colRow(d, x, ch*g.h*g.w, ky, kx, g.h, g.w, g.outH, g.outW, g.stride, g.pad)
+		return
+	}
+	off := g.planeOff(r)
+	for oy := 0; oy < g.outH; oy++ {
+		row := d[oy*g.outW:][:g.outW]
+		for ox, v := range x[off+oy*g.wp:][:len(row)] {
+			row[ox] = v
+		}
+	}
+}
+
+// patchRow writes the receptive field of output (oy, ox) of sample
+// plane x into d as one c·kh·kw row (im2row layout).
+func (g *convGeom) patchRow(d, x []float32, oy, ox int) {
+	if g.stride != 1 {
+		im2rowPatch(d, x, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, oy, ox)
+		return
+	}
+	for ch := 0; ch < g.c; ch++ {
+		for ky := 0; ky < g.kh; ky++ {
+			taps := d[(ch*g.kh+ky)*g.kw:][:g.kw]
+			for kx, v := range x[(ch*g.hp+oy+ky)*g.wp+ox:][:len(taps)] {
+				taps[kx] = v
+			}
+		}
+	}
+}
+
+// scatterRow adds dcol row s — tap (ch, ky, kx) — into gx: the padded
+// gradient plane for stride 1, the c×h×w image otherwise. Per image
+// element the adds land in the same order as Col2Im's.
+func (g *convGeom) scatterRow(gx, s []float32, ch, ky, kx int) {
+	if g.stride != 1 {
+		col2imRow(gx, s, ch*g.h*g.w, ky, kx, g.h, g.w, g.outH, g.outW, g.stride, g.pad)
+		return
+	}
+	off := (ch*g.hp+ky)*g.wp + kx
+	for oy := 0; oy < g.outH; oy++ {
+		d := gx[off+oy*g.wp:][:g.outW]
+		for x, v := range s[oy*g.outW:][:len(d)] {
+			d[x] += v
+		}
+	}
+}
+
 // ConvGemmForward computes the NCHW convolution output
 // dst = W · im2col(src) for a whole batch as one implicit GEMM of
 // shape outC × (c·kh·kw) × (n·outH·outW). dst is n×outC×outH×outW,
-// wd is outC×(c·kh·kw) row-major, src is n×c×h×w. Input patches are
-// packed into pooled column panels and consumed immediately by the
-// blocked tile kernels; above matMulShardFlops the panels are sharded
-// across Workers() goroutines. Results are bit-identical to the
-// per-sample Im2Col+Gemm composition at any worker count.
-//
-// 1×1/stride-1/pad-0 convolutions take a zero-copy fast path: the
-// input already is the column matrix, so the tile kernels read src
-// directly and nothing is packed at all.
+// wd is outC×(c·kh·kw) row-major, src is n×c×h×w. Stride 1 reads each
+// sample's padded plane in place (convForwardPlane); any other stride
+// packs pooled im2col panels (convForwardUnits). Above
+// matMulShardFlops the (sample, panel) units are sharded across
+// Workers() goroutines. Results are bit-identical to the per-sample
+// Im2Col+Gemm composition at any worker count.
 func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, pad int) {
-	outH := ConvOutSize(h, kh, stride, pad)
-	outW := ConvOutSize(w, kw, stride, pad)
+	g := newConvGeom(c, h, w, kh, kw, stride, pad)
 	if n == 0 || outC == 0 {
 		return
 	}
-	if outH <= 0 || outW <= 0 {
+	if g.outH <= 0 || g.outW <= 0 {
 		panic("tensor: ConvGemmForward empty output")
 	}
-	outArea := outH * outW
+	outArea := g.outH * g.outW
 	k := c * kh * kw
 	if len(src) < n*c*h*w {
 		panic("tensor: ConvGemmForward src too small")
@@ -171,58 +280,107 @@ func ConvGemmForward(dst, wd, src []float32, n, c, h, w, outC, kh, kw, stride, p
 	if len(dst) < n*outC*outArea {
 		panic("tensor: ConvGemmForward dst too small")
 	}
-	if kh == 1 && kw == 1 && stride == 1 && pad == 0 {
-		convForward1x1(dst, wd, src, n, c, outArea, outC)
-		return
+	cols := outArea
+	if stride == 1 {
+		cols = g.ext
 	}
-	perSample := (outArea + gemmJTile - 1) / gemmJTile
+	perSample := (cols + gemmJTile - 1) / gemmJTile
 	units := n * perSample
 	if units >= 2 && n*k*outArea*outC >= matMulShardFlops && Workers() > 1 {
 		ParallelFor(units, func(_, lo, hi int) {
-			convForwardUnits(dst, wd, src, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, lo, hi)
+			convForwardRange(dst, wd, src, g, outC, perSample, lo, hi)
 		})
 		return
 	}
-	convForwardUnits(dst, wd, src, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, 0, units)
+	convForwardRange(dst, wd, src, g, outC, perSample, 0, units)
 }
 
-// convForwardUnits packs and consumes panel units [lo, hi). A unit is
-// one column panel of one sample — panels are sample-aligned, so every
-// panel's output rows are contiguous dst segments and the tiles write
-// straight into the batch output. Each panel is lowered into a pooled
-// k×gemmJTile buffer and multiplied while still cache-hot; the column
-// matrix as a whole never exists.
+// convForwardRange runs forward units [lo, hi) on the path g's stride
+// selects.
+func convForwardRange(dst, wd, src []float32, g convGeom, outC, perSample, lo, hi int) {
+	if g.stride == 1 {
+		convForwardPlane(dst, wd, src, &g, outC, perSample, lo, hi)
+		return
+	}
+	convForwardUnits(dst, wd, src, g.c, g.h, g.w, g.kh, g.kw, g.stride, g.pad, g.outH, g.outW, outC, perSample, lo, hi)
+}
+
+// convForwardPlane runs (sample, panel) units [lo, hi) of a stride-1
+// convolution over each sample's padded plane: output (oy, ox) is
+// extended column oy·wp + ox, and the panel at extended column j0
+// reads B row p = (ch, ky, kx) at plane[offs[p]+j0 : +jw] with
+// offs[p] = ch·hp·wp + ky·wp + kx, so nothing is lowered. The outC × jw
+// extended block lands in pooled scratch and the valid outW columns of
+// each output row are copied into dst; the wp−outW columns between
+// them straddle two image rows and are dropped. Extended columns stop
+// at ext, which keeps every read inside the plane.
+func convForwardPlane(dst, wd, src []float32, g *convGeom, outC, perSample, lo, hi int) {
+	outArea := g.outH * g.outW
+	chw := g.c * g.h * g.w
+	offs := getOffs(g.c * g.kh * g.kw)
+	for r := range offs.o {
+		offs.o[r] = g.planeOff(r)
+	}
+	buf := getPanel(g.padLen() + outC*gemmJTile)
+	ob := buf.f[g.padLen():]
+	var plane []float32
+	for u := lo; u < hi; u++ {
+		i, j0 := u/perSample, u%perSample*gemmJTile
+		if u == lo || j0 == 0 {
+			plane = g.plane(buf.f, src[i*chw:(i+1)*chw])
+		}
+		jw := min(g.ext-j0, gemmJTile)
+		convPanelRows(ob, wd, plane[j0:], offs.o, outC, jw, 0, jw)
+		od := dst[i*outC*outArea:]
+		for q := j0; q < j0+jw; {
+			oy, ox := q/g.wp, q%g.wp
+			if run := min(g.outW-ox, j0+jw-q); run > 0 {
+				for oc := 0; oc < outC; oc++ {
+					copy(od[oc*outArea+oy*g.outW+ox:][:run], ob[oc*jw+q-j0:])
+				}
+			}
+			q += g.wp - ox
+		}
+	}
+	panelPool.Put(buf)
+	offsPool.Put(offs)
+}
+
+// convForwardUnits packs and consumes im2col panel units [lo, hi). A
+// unit is one column panel of one sample — panels are sample-aligned,
+// so every panel's output rows are contiguous dst segments and the
+// tiles write straight into the batch output. Each panel is lowered
+// into a pooled k×gemmJTile buffer and multiplied while still
+// cache-hot; the column matrix as a whole never exists.
 func convForwardUnits(dst, wd, src []float32, c, h, w, kh, kw, stride, pad, outH, outW, outC, perSample, lo, hi int) {
 	outArea := outH * outW
 	k := c * kh * kw
 	chw := c * h * w
-	outStride := outC * outArea
 	pbuf := getPanel(k * gemmJTile)
+	offs := getOffs(k)
 	for u := lo; u < hi; u++ {
-		i, pi := u/perSample, u%perSample
-		j0 := pi * gemmJTile
-		jw := outArea - j0
-		if jw > gemmJTile {
-			jw = gemmJTile
-		}
+		i, j0 := u/perSample, u%perSample*gemmJTile
+		jw := min(outArea-j0, gemmJTile)
 		im2colSeg(pbuf.f, jw, src[i*chw:(i+1)*chw], c, h, w, kh, kw, stride, pad, outH, outW, j0, j0+jw)
-		convPanelRows(dst, wd, pbuf.f, k, outC, jw, jw, 0, i*outStride+j0, outArea)
+		convPanelRows(dst, wd, pbuf.f, offs.strided(jw), outC, jw, i*outC*outArea+j0, outArea)
 	}
 	panelPool.Put(pbuf)
+	offsPool.Put(offs)
 }
 
 // convPanelRows runs the 2-row register tiles of matmul.go over all
 // outC weight rows for one panel: output row oc lands at
-// od[base+oc*orStride : +jw], panel row p is read at pb[pbBase+p*bs :
+// od[base+oc*orStride : +jw], panel row p is read at pb[offs[p] :
 // +jw]. Reusing gemmTile2/gemmTile1 verbatim is what makes the fused
 // path's per-element operation sequence identical to Gemm's.
-func convPanelRows(od, wd, pb []float32, k, outC, jw, bs, pbBase, base, orStride int) {
+func convPanelRows(od, wd, pb []float32, offs []int, outC, jw, base, orStride int) {
+	k := len(offs)
 	if useFast() {
 		// Fast tier: the same per-row microkernel the fast Gemm path
 		// runs, so fused conv stays bit-identical to the composed
 		// Im2Col+Gemm oracle within the tier.
 		for i := 0; i < outC; i++ {
-			fastTile1(od[base+i*orStride:base+i*orStride+jw], wd[i*k:i*k+k], pb, jw, bs, pbBase)
+			fastTile1(od[base+i*orStride:base+i*orStride+jw], wd[i*k:i*k+k], pb, offs, jw)
 		}
 		return
 	}
@@ -230,41 +388,11 @@ func convPanelRows(od, wd, pb []float32, k, outC, jw, bs, pbBase, base, orStride
 	for ; i+2 <= outC; i += 2 {
 		gemmTile2(od[base+i*orStride:base+i*orStride+jw],
 			od[base+(i+1)*orStride:base+(i+1)*orStride+jw],
-			wd[i*k:i*k+k], wd[(i+1)*k:(i+1)*k+k], pb, jw, bs, pbBase)
+			wd[i*k:i*k+k], wd[(i+1)*k:(i+1)*k+k], pb, offs, jw)
 	}
 	for ; i < outC; i++ {
-		gemmTile1(od[base+i*orStride:base+i*orStride+jw], wd[i*k:i*k+k], pb, jw, bs, pbBase)
+		gemmTile1(od[base+i*orStride:base+i*orStride+jw], wd[i*k:i*k+k], pb, offs, jw)
 	}
-}
-
-// convForward1x1 is the zero-copy fast path for 1×1/stride-1/pad-0
-// convolutions: sample i's column matrix IS its input plane block
-// (c × area, row-major), so the tile kernels read src directly with
-// panel row stride = area. Panels tile each sample's area columns;
-// work parallelizes across (sample, panel) units.
-func convForward1x1(dst, wd, src []float32, n, c, area, outC int) {
-	if area == 0 {
-		return
-	}
-	perSample := (area + gemmJTile - 1) / gemmJTile
-	units := n * perSample
-	body := func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			i, pi := u/perSample, u%perSample
-			j0 := pi * gemmJTile
-			jw := area - j0
-			if jw > gemmJTile {
-				jw = gemmJTile
-			}
-			convPanelRows(dst, wd, src[i*c*area:(i+1)*c*area],
-				c, outC, jw, area, j0, i*outC*area+j0, area)
-		}
-	}
-	if units >= 2 && n*c*area*outC >= matMulShardFlops && Workers() > 1 {
-		ParallelFor(units, func(_, lo, hi int) { body(lo, hi) })
-		return
-	}
-	body(0, units)
 }
 
 // ConvGemmBackward computes both convolution gradients in one fused
@@ -278,27 +406,25 @@ func convForward1x1(dst, wd, src []float32, n, c, area, outC int) {
 //     order, preserving the per-sample accumulation the serial
 //     GemmTB+AddInPlace loop performed.
 //   - dX (n×c×h×w, pre-zeroed by the caller) receives the fused
-//     col2im of Wᵀ·dY: each dcol row pair is computed into pooled
-//     scratch and scattered into the image immediately, in ascending
-//     row order — exactly Col2Im's accumulation order — without a
-//     dcol buffer.
+//     col2im of Wᵀ·dY: the dcol block is computed into pooled scratch
+//     and scattered into the image in ascending row order — exactly
+//     Col2Im's accumulation order — without a per-layer dcol buffer.
 //
 // Samples are independent, so the batch shards across Workers()
 // goroutines above matMulShardFlops; per-sample results are
 // bit-identical to the materialized GemmTB / GemmTA+Col2Im composition
-// at any worker count. 1×1/stride-1/pad-0 convolutions skip column-row
-// generation (src rows are the column rows, zero-copy) and scatter via
-// straight row additions.
+// at any worker count. Stride-1 convolutions generate rows from, and
+// scatter into, padded planes (see convGeom); other strides keep the
+// bounds-checked im2col/col2im row bodies.
 func ConvGemmBackward(dX, dwChunks, wd, src, dY []float32, n, c, h, w, outC, kh, kw, stride, pad int) {
-	outH := ConvOutSize(h, kh, stride, pad)
-	outW := ConvOutSize(w, kw, stride, pad)
+	g := newConvGeom(c, h, w, kh, kw, stride, pad)
 	if n == 0 {
 		return
 	}
-	if outH <= 0 || outW <= 0 {
+	if g.outH <= 0 || g.outW <= 0 {
 		panic("tensor: ConvGemmBackward empty output")
 	}
-	outArea := outH * outW
+	outArea := g.outH * g.outW
 	k := c * kh * kw
 	if len(src) < n*c*h*w || len(dX) < n*c*h*w {
 		panic("tensor: ConvGemmBackward src/dX too small")
@@ -311,29 +437,31 @@ func ConvGemmBackward(dX, dwChunks, wd, src, dY []float32, n, c, h, w, outC, kh,
 	}
 	if n >= 2 && n*k*outArea*outC >= matMulShardFlops && Workers() > 1 {
 		ParallelFor(n, func(_, lo, hi int) {
-			convBackwardSamples(dX, dwChunks, wd, src, dY, c, h, w, outC, kh, kw, stride, pad, outH, outW, lo, hi)
+			convBackwardSamples(dX, dwChunks, wd, src, dY, g, outC, lo, hi)
 		})
 		return
 	}
-	convBackwardSamples(dX, dwChunks, wd, src, dY, c, h, w, outC, kh, kw, stride, pad, outH, outW, 0, n)
+	convBackwardSamples(dX, dwChunks, wd, src, dY, g, outC, 0, n)
 }
 
 // convBackwardSamples processes samples [lo, hi): the dW chunk and the
 // fused col2im dX of each sample in turn.
-func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW, lo, hi int) {
-	outArea := outH * outW
-	k := c * kh * kw
-	chw := c * h * w
+func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, g convGeom, outC, lo, hi int) {
+	outArea := g.outH * g.outW
+	k := g.c * g.kh * g.kw
+	chw := g.c * g.h * g.w
 	outStride := outC * outArea
-	fast := kh == 1 && kw == 1 && stride == 1 && pad == 0
 	vec := useFast()
-	// Scratch: 4 generated column rows for the exact-tier dW quads, 4
-	// gathered patch rows for the fast-tier axpy dW, and a k-row dcol
-	// block for dX, all from one pooled panel.
-	buf := getPanel(4*outArea + 4*k + k*outArea)
+	// Scratch, all from one pooled panel: 4 generated column rows for
+	// the exact-tier dW quads, 4 gathered patch rows for the fast-tier
+	// axpy dW, a k-row dcol block for dX, and the padded input and
+	// gradient planes (empty unless stride 1 with padding).
+	pl := g.padLen()
+	buf := getPanel(4*outArea + 4*k + k*outArea + 2*pl)
 	gen := buf.f[:4*outArea]
 	patches := buf.f[4*outArea : 4*outArea+4*k]
-	sb := buf.f[4*outArea+4*k:]
+	sb := buf.f[4*outArea+4*k : 4*outArea+4*k+k*outArea]
+	planes := buf.f[4*outArea+4*k+k*outArea:]
 	// Fast-tier dW dispatch is by shape: the axpy batching streams
 	// rank-1 updates over k-length chunk rows, which wins when the dot
 	// kernels would pay a horizontal reduction per element over short
@@ -343,17 +471,15 @@ func convBackwardSamples(dX, dwChunks, wd, src, dY []float32, c, h, w, outC, kh,
 	// data or worker count, so results stay deterministic.
 	axpy := vec && k >= outArea
 	for i := lo; i < hi; i++ {
-		srci := src[i*chw : (i+1)*chw]
+		x := g.plane(planes[:pl], src[i*chw:(i+1)*chw])
 		dyi := dY[i*outStride : (i+1)*outStride]
+		chunk := dwChunks[i*outC*k : (i+1)*outC*k]
 		if axpy {
-			convSampleDWAxpy(dwChunks[i*outC*k:(i+1)*outC*k], srci, dyi, patches,
-				c, h, w, outC, kh, kw, stride, pad, outH, outW, fast)
+			convSampleDWAxpy(chunk, x, dyi, patches, &g, outC)
 		} else {
-			convSampleDW(dwChunks[i*outC*k:(i+1)*outC*k], srci, dyi, gen,
-				c, h, w, outC, kh, kw, stride, pad, outH, outW, fast, vec)
+			convSampleDW(chunk, x, dyi, gen, &g, outC, vec)
 		}
-		convSampleDX(dX[i*chw:(i+1)*chw], wd, dyi, sb,
-			c, h, w, outC, kh, kw, stride, pad, outH, outW, fast)
+		convSampleDX(dX[i*chw:(i+1)*chw], planes[pl:], wd, dyi, sb, &g, outC)
 	}
 	panelPool.Put(buf)
 }
@@ -390,28 +516,22 @@ func im2rowPatch(dst, src []float32, c, h, w, kh, kw, stride, pad, oy, ox int) {
 }
 
 // convSampleDW computes one sample's weight-gradient chunk
-// dY_i · col_iᵀ with column rows generated on demand — the dot-form
-// kernel (fast-tier deep shapes with k >= outArea run convSampleDWAxpy
-// instead; see convBackwardSamples). The dot-product bodies are
-// exactly gemmTBRows' 1×4 and single-column tiles (fastDot4/fastDot on
-// the fast tier — the same microkernels the fast GemmTB runs, keeping
-// this form bit-identical to the composed oracle within either tier),
+// dY_i · col_iᵀ with column rows generated on demand from x (the
+// sample as g.plane returns it) — the dot-form kernel (fast-tier deep
+// shapes with k >= outArea run convSampleDWAxpy instead; see
+// convBackwardSamples). The dot-product bodies are exactly
+// gemmTBRows' 1×4 and single-column tiles (fastDot4/fastDot on the
+// fast tier — the same microkernels the fast GemmTB runs, keeping this
+// form bit-identical to the composed oracle within either tier),
 // reordered column-quad-outer so each generated row quad is reused
 // across every output row — a reordering across output elements only,
 // so each element's accumulation sequence is unchanged.
-func convSampleDW(chunk, srci, dyi, gen []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, fast, vec bool) {
-	outArea := outH * outW
-	k := c * kh * kw
-	kk := kh * kw
+func convSampleDW(chunk, x, dyi, gen []float32, g *convGeom, outC int, vec bool) {
+	outArea := g.outH * g.outW
+	k := g.c * g.kh * g.kw
 	colRow := func(r, slot int) []float32 {
-		if fast {
-			return srci[r*outArea : (r+1)*outArea]
-		}
 		d := gen[slot*outArea : (slot+1)*outArea]
-		ch := r / kk
-		ky := (r % kk) / kw
-		kx := r % kw
-		im2colRow(d, srci, ch*h*w, ky, kx, h, w, outH, outW, stride, pad)
+		g.colRow(d, x, r)
 		return d
 	}
 	j := 0
@@ -472,14 +592,13 @@ func convSampleDW(chunk, srci, dyi, gen []float32, c, h, w, outC, kh, kw, stride
 // Wᵀ·dY_i is produced by gemmTAShard — the exact kernel behind GemmTA,
 // so every dcol element accumulates in the reference order with the
 // reference zero skips — into a pooled scratch block shared across the
-// shard's samples, then scattered into the pre-zeroed image via
-// col2imRow in ascending row order, exactly Col2Im's accumulation
-// order. No per-layer dcol buffer is retained; 1×1/stride-1/pad-0
-// convolutions skip the index arithmetic and add rows directly.
-func convSampleDX(dxi, wd, dyi, sb []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, fast bool) {
-	outArea := outH * outW
-	k := c * kh * kw
-	kk := kh * kw
+// shard's samples, then scattered row by row in ascending row order,
+// exactly Col2Im's accumulation order. A padded stride-1 convolution
+// scatters into the zeroed gradient plane gp and copies its interior
+// into dxi; without padding the plane is dxi itself.
+func convSampleDX(dxi, gp, wd, dyi, sb []float32, g *convGeom, outC int) {
+	outArea := g.outH * g.outW
+	k := g.c * g.kh * g.kw
 	if useFast() {
 		// Serial fast variant: this runs inside the per-sample
 		// ParallelFor, so it must not fan out again.
@@ -487,15 +606,25 @@ func convSampleDX(dxi, wd, dyi, sb []float32, c, h, w, outC, kh, kw, stride, pad
 	} else {
 		gemmTAShard(sb, wd, dyi, outC, k, outArea, 0, k)
 	}
-	for r := 0; r < k; r++ {
-		s := sb[r*outArea : (r+1)*outArea]
-		if fast {
-			drow := dxi[r*outArea : (r+1)*outArea]
-			for x, v := range s {
-				drow[x] += v
+	gx := dxi
+	if g.padLen() > 0 {
+		gx = gp[:g.padLen()]
+		clear(gx)
+	}
+	r := 0
+	for ch := 0; ch < g.c; ch++ {
+		for ky := 0; ky < g.kh; ky++ {
+			for kx := 0; kx < g.kw; kx++ {
+				g.scatterRow(gx, sb[r*outArea:(r+1)*outArea], ch, ky, kx)
+				r++
 			}
-			continue
 		}
-		col2imRow(dxi, s, (r/kk)*h*w, (r%kk)/kw, r%kw, h, w, outH, outW, stride, pad)
+	}
+	if g.padLen() > 0 {
+		for ch := 0; ch < g.c; ch++ {
+			for y := 0; y < g.h; y++ {
+				copy(dxi[(ch*g.h+y)*g.w:][:g.w], gx[(ch*g.hp+y+g.pad)*g.wp+g.pad:])
+			}
+		}
 	}
 }

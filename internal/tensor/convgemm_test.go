@@ -9,8 +9,62 @@ import (
 // The fused implicit-GEMM convolution must be bitwise-equal to the
 // materialized Im2Col+Gemm composition it replaced — the same contract
 // matmul_oracle_test.go enforces one layer down. The composition of
-// exported kernels (Im2Col, Gemm, GemmTB, GemmTA, Col2Im), run at one
-// worker, is the oracle here.
+// the test-only Im2Col/Col2Im below with the exported Gemm, GemmTB and
+// GemmTA, run at one worker, is the oracle here.
+
+// Im2Col lowers one CHW image into a (C·kh·kw) × (outH·outW) column
+// matrix stored row-major in dst, the standard lowering that turns a
+// convolution into a GEMM. src holds C·H·W elements; dst must hold
+// C·kh·kw·outH·outW elements. Out-of-bounds taps read as zero
+// (zero padding).
+func Im2Col(src []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
+	outH := ConvOutSize(h, kh, stride, pad)
+	outW := ConvOutSize(w, kw, stride, pad)
+	outArea := outH * outW
+	if len(src) < c*h*w {
+		panic("tensor: Im2Col src too small")
+	}
+	if len(dst) < c*kh*kw*outArea {
+		panic("tensor: Im2Col dst too small")
+	}
+	row := 0
+	for ch := 0; ch < c; ch++ {
+		chBase := ch * h * w
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				im2colRow(dst[row*outArea:(row+1)*outArea], src,
+					chBase, ky, kx, h, w, outH, outW, stride, pad)
+				row++
+			}
+		}
+	}
+}
+
+// Col2Im scatters a column matrix produced by Im2Col back into a CHW
+// image, accumulating where patches overlap. dst (C·H·W) is expected to
+// be pre-zeroed by the caller when a fresh gradient is wanted.
+func Col2Im(col []float32, c, h, w, kh, kw, stride, pad int, dst []float32) {
+	outH := ConvOutSize(h, kh, stride, pad)
+	outW := ConvOutSize(w, kw, stride, pad)
+	outArea := outH * outW
+	if len(dst) < c*h*w {
+		panic("tensor: Col2Im dst too small")
+	}
+	if len(col) < c*kh*kw*outArea {
+		panic("tensor: Col2Im col too small")
+	}
+	row := 0
+	for ch := 0; ch < c; ch++ {
+		chBase := ch * h * w
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				col2imRow(dst, col[row*outArea:(row+1)*outArea],
+					chBase, ky, kx, h, w, outH, outW, stride, pad)
+				row++
+			}
+		}
+	}
+}
 
 // convShape is one point of the conv oracle grid.
 type convShape struct {
@@ -18,24 +72,31 @@ type convShape struct {
 }
 
 // convShapes stresses every structural regime of the fused kernels:
-// the 1×1/stride-1/pad-0 zero-copy fast path, 1×1 with stride (general
-// path), pad ≥ kernel (taps that never touch the image), strides 2–3,
-// non-square 5×5 and 2×2 kernels, k%4 tails, panels spanning sample
-// boundaries (outArea ≪ gemmJTile), in-sample ragged panels
-// (outArea > gemmJTile), and the 32×32 paper shape.
+// the stride-1 plane path without padding (1×1, where the plane is the
+// input itself) and with it, 1×1 with stride (im2col panels), pad ≥
+// kernel (taps that never touch the image), strides 2–3, non-square
+// 5×5 and 2×2 kernels, k%4 tails, many small samples (outArea ≪
+// gemmJTile), in-sample ragged panels (outArea > gemmJTile), the
+// 32×32 paper shape, and the repro model's own shapes.
 var convShapes = []convShape{
-	{1, 1, 3, 3, 1, 1, 1, 1, 0},     // minimal 1×1 fast path
-	{2, 3, 8, 8, 4, 1, 1, 1, 0},     // 1×1 fast path, k%4 tail (c=3)
-	{3, 4, 9, 9, 5, 1, 1, 2, 0},     // 1×1 with stride: general path
+	{1, 1, 3, 3, 1, 1, 1, 1, 0},     // minimal 1×1, unpadded plane
+	{2, 3, 8, 8, 4, 1, 1, 1, 0},     // 1×1 unpadded plane, k%4 tail (c=3)
+	{3, 4, 9, 9, 5, 1, 1, 2, 0},     // 1×1 with stride: im2col panels
 	{2, 2, 6, 6, 3, 3, 3, 1, 1},     // classic 3×3 same-pad
 	{2, 3, 7, 5, 4, 3, 3, 1, 3},     // pad == kernel
 	{1, 2, 5, 5, 2, 3, 3, 1, 4},     // pad > kernel
 	{2, 2, 11, 11, 3, 5, 5, 2, 2},   // 5×5 stride 2
 	{2, 3, 10, 10, 4, 2, 2, 2, 0},   // 2×2 stride 2, no pad
 	{1, 1, 13, 13, 2, 3, 3, 3, 1},   // stride 3
-	{30, 2, 7, 7, 3, 3, 3, 1, 0},    // outArea=25: panels span samples
+	{30, 2, 7, 7, 3, 3, 3, 1, 0},    // outArea=25: many small samples
 	{2, 2, 20, 20, 3, 3, 3, 1, 1},   // outArea=400: ragged in-sample panels
 	{4, 16, 32, 32, 16, 3, 3, 1, 1}, // paper shape (batch trimmed)
+	// The repro ResNet-20×0.25's conv shapes on 12×12 inputs.
+	{4, 3, 12, 12, 4, 3, 3, 1, 1}, // stem 3→4
+	{4, 4, 12, 12, 4, 3, 3, 1, 1}, // stage 1 4→4
+	{4, 4, 12, 12, 8, 3, 3, 2, 1}, // stage 2 downsample 4→8, 12→6
+	{4, 8, 6, 6, 8, 3, 3, 1, 1},   // stage 2 8→8
+	{4, 16, 3, 3, 16, 3, 3, 1, 1}, // stage 3 16→16: ext = 13, one vector + tail
 }
 
 // convOracleData builds deterministic (weight, src, dY) buffers for a
@@ -257,9 +318,10 @@ func TestIm2ColPanelsMatchesPackedIm2Col(t *testing.T) {
 	}
 }
 
-// TestConv1x1FastPathMatchesGeneralPath runs the general panel-packing
-// path on a 1×1/stride-1/pad-0 shape (which ConvGemmForward would
-// normally route to the zero-copy path) and requires bitwise equality.
+// TestConv1x1FastPathMatchesGeneralPath runs the im2col panel path on
+// a 1×1/stride-1/pad-0 shape (which ConvGemmForward routes to the
+// stride-1 plane path, reading the input in place) and requires
+// bitwise equality.
 func TestConv1x1FastPathMatchesGeneralPath(t *testing.T) {
 	s := convShape{3, 5, 9, 9, 4, 1, 1, 1, 0}
 	wd, src, dY := convOracleData(0x1F1, s)
@@ -278,8 +340,8 @@ func TestConv1x1FastPathMatchesGeneralPath(t *testing.T) {
 			}
 		})
 	}
-	// Backward: the fast flag is chosen inside convBackwardSamples, so
-	// pin it against the materialized oracle instead (the general fused
+	// Backward: the path is chosen inside convBackwardSamples, so pin
+	// it against the materialized oracle instead (the strided fused
 	// path is pinned to the same oracle by the grid test above).
 	wantDW, wantDX := refConvBackward(wd, src, dY, s)
 	dX := make([]float32, len(wantDX))
@@ -472,9 +534,9 @@ func BenchmarkConvBwdRefSparse32(b *testing.B)   { benchConvBwdSparsity(b, bench
 func BenchmarkConvBwdFusedDeep(b *testing.B) { benchConvBwd(b, benchConvDeep, true) }
 func BenchmarkConvBwdRefDeep(b *testing.B)   { benchConvBwd(b, benchConvDeep, false) }
 
-// The pointwise pair exercises the zero-copy 1×1 fast path, where the
-// fused forward reads src as the column matrix and packs nothing, and
-// the fused backward skips the im2col/col2im index arithmetic.
+// The pointwise pair exercises the unpadded stride-1 plane path, where
+// the fused forward reads src in place and packs nothing, and the
+// fused backward skips the im2col/col2im index arithmetic.
 func BenchmarkConvFwdFused1x1(b *testing.B) { benchConvFwd(b, benchConv1x1, true) }
 func BenchmarkConvFwdRef1x1(b *testing.B)   { benchConvFwd(b, benchConv1x1, false) }
 func BenchmarkConvBwdFused1x1(b *testing.B) { benchConvBwd(b, benchConv1x1, true) }

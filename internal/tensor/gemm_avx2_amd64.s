@@ -4,8 +4,12 @@
 
 // AVX2+FMA microkernels for the fast numerics tier (see numerics.go).
 //
-// All kernels require n to be a positive multiple of 8; Go callers
-// handle the scalar tail. VFMADD231PS fuses the multiply and add with
+// The axpy kernels take any n >= 0: after the 8-wide body they finish
+// the last n%8 elements with VFMADD231SS in the same term order as the
+// VFMADD231PS lanes, so every element sees the identical fused
+// operation sequence wherever it sits in the span. The dot kernels
+// require n to be a multiple of 8; Go callers add the scalar tail.
+// VFMADD231PS fuses the multiply and add with
 // a single rounding and the reductions keep 8 lanes (or several
 // accumulator registers), so results differ from the scalar exact
 // tier in the last ULPs — that is the fast tier's documented
@@ -51,7 +55,7 @@ axpy4_loop16:
 
 axpy4_loop8:
 	CMPQ CX, $8
-	JLT  axpy4_done
+	JLT  axpy4_loop1
 	VMOVUPS (DI)(AX*4), Y4
 	VFMADD231PS (SI)(AX*4), Y0, Y4
 	VFMADD231PS (R8)(AX*4), Y1, Y4
@@ -61,6 +65,19 @@ axpy4_loop8:
 	ADDQ $8, AX
 	SUBQ $8, CX
 	JMP  axpy4_loop8
+
+axpy4_loop1:
+	TESTQ CX, CX
+	JZ    axpy4_done
+	VMOVSS (DI)(AX*4), X4
+	VFMADD231SS (SI)(AX*4), X0, X4
+	VFMADD231SS (R8)(AX*4), X1, X4
+	VFMADD231SS (R9)(AX*4), X2, X4
+	VFMADD231SS (R10)(AX*4), X3, X4
+	VMOVSS X4, (DI)(AX*4)
+	INCQ AX
+	DECQ CX
+	JMP  axpy4_loop1
 
 axpy4_done:
 	VZEROUPPER
@@ -90,13 +107,23 @@ axpy_loop16:
 
 axpy_loop8:
 	CMPQ CX, $8
-	JLT  axpy_done
+	JLT  axpy_loop1
 	VMOVUPS (DI)(AX*4), Y1
 	VFMADD231PS (SI)(AX*4), Y0, Y1
 	VMOVUPS Y1, (DI)(AX*4)
 	ADDQ $8, AX
 	SUBQ $8, CX
 	JMP  axpy_loop8
+
+axpy_loop1:
+	TESTQ CX, CX
+	JZ    axpy_done
+	VMOVSS (DI)(AX*4), X1
+	VFMADD231SS (SI)(AX*4), X0, X1
+	VMOVSS X1, (DI)(AX*4)
+	INCQ AX
+	DECQ CX
+	JMP  axpy_loop1
 
 axpy_done:
 	VZEROUPPER

@@ -4,9 +4,11 @@ package tensor
 
 // Fast-tier orchestration: the same packing, blocking, and sharding
 // schedules as the exact kernels, with the inner loops replaced by the
-// AVX2+FMA microkernels in gemm_avx2_amd64.s. The microkernels handle
-// the widest multiple of 8 of each span and Go code finishes the
-// scalar tail, so any shape runs on either tier.
+// AVX2+FMA microkernels in gemm_avx2_amd64.s. The axpy kernels finish
+// their own scalar tail with the same fused operation in the same
+// order as the vector lanes, so an output element's bits never depend
+// on where it sits in a panel; the dot kernels take the widest
+// multiple of 8 and Go code adds the rest.
 //
 // Fused conv forward/dX and composed GEMM stay bit-identical to each
 // other *within* the fast tier for the same reason they do in the
@@ -32,43 +34,29 @@ func dot4FMA(a, b0, b1, b2, b3 *float32, n int, out *float32)
 func dotFMA(a, b *float32, n int) float32
 
 // fastTile1 is the fast-tier counterpart of gemmTile1: one output row
-// segment against a packed B panel (jw/bs/base addressing identical).
-// The quad skip-zero check is kept so pruned models keep their
-// sparsity win on the fast tier too.
-func fastTile1(orow, arow, pb []float32, jw, bs, base int) {
-	for x := range orow {
-		orow[x] = 0
-	}
+// segment against a B panel whose row p lives at pb[offs[p] : +jw]
+// (see rowOffs). The quad skip-zero check is kept so pruned models
+// keep their sparsity win on the fast tier too.
+func fastTile1(orow, arow, pb []float32, offs []int, jw int) {
+	clear(orow)
 	k := len(arow)
-	w := jw &^ 7
+	offs = offs[:k] // one length check instead of one per B row
 	p := 0
 	for ; p+4 <= k; p += 4 {
 		a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue
 		}
-		b0 := pb[base+p*bs : base+p*bs+jw]
-		b1 := pb[base+(p+1)*bs : base+(p+1)*bs+jw]
-		b2 := pb[base+(p+2)*bs : base+(p+2)*bs+jw]
-		b3 := pb[base+(p+3)*bs : base+(p+3)*bs+jw]
-		if w > 0 {
-			axpy4FMA(&orow[0], &b0[0], &b1[0], &b2[0], &b3[0], a0, a1, a2, a3, w)
-		}
-		for x := w; x < jw; x++ {
-			orow[x] += a0*b0[x] + a1*b1[x] + a2*b2[x] + a3*b3[x]
-		}
+		b0 := pb[offs[p] : offs[p]+jw]
+		b1 := pb[offs[p+1] : offs[p+1]+jw]
+		b2 := pb[offs[p+2] : offs[p+2]+jw]
+		b3 := pb[offs[p+3] : offs[p+3]+jw]
+		axpy4FMA(&orow[0], &b0[0], &b1[0], &b2[0], &b3[0], a0, a1, a2, a3, jw)
 	}
 	for ; p < k; p++ {
-		av := arow[p]
-		if av == 0 {
-			continue
-		}
-		brow := pb[base+p*bs : base+p*bs+jw]
-		if w > 0 {
-			axpyFMA(&orow[0], &brow[0], av, w)
-		}
-		for x := w; x < jw; x++ {
-			orow[x] += av * brow[x]
+		if av := arow[p]; av != 0 {
+			brow := pb[offs[p] : offs[p]+jw]
+			axpyFMA(&orow[0], &brow[0], av, jw)
 		}
 	}
 }
@@ -78,16 +66,15 @@ func fastTile1(orow, arow, pb []float32, jw, bs, base int) {
 // microkernel already carries the register-tile role gemmTile2 plays
 // in the scalar kernel).
 func fastGemmRows(od, ad, pb []float32, k, n, lo, hi int) {
+	offs := getOffs(k)
 	for j0 := 0; j0 < n; j0 += gemmJTile {
-		jw := n - j0
-		if jw > gemmJTile {
-			jw = gemmJTile
-		}
-		base := j0 * k
+		jw := min(n-j0, gemmJTile)
+		o := offs.strided(jw)
 		for i := lo; i < hi; i++ {
-			fastTile1(od[i*n+j0:i*n+j0+jw], ad[i*k:i*k+k], pb, jw, jw, base)
+			fastTile1(od[i*n+j0:i*n+j0+jw], ad[i*k:i*k+k], pb[j0*k:], o, jw)
 		}
 	}
+	offsPool.Put(offs)
 }
 
 // fastGemm is the fast-tier dst = A·B entry: same packing and row
@@ -164,25 +151,16 @@ func fastGemmTASerial(dst, a, b []float32, k, m, n int) {
 // sequence for a fixed shape, so the result is bit-deterministic and
 // (the per-sample batch shard being the parallel unit) worker-count
 // invariant, but differently rounded than the exact tier's dot kernel:
-// dW is ULP-pinned against the exact oracle, not bitwise.
-func convSampleDWAxpy(chunk, srci, dyi, patches []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, fast1x1 bool) {
-	outArea := outH * outW
-	k := c * kh * kw
-	for x := range chunk[:outC*k] {
-		chunk[x] = 0
-	}
-	wq := k &^ 7
+// dW is ULP-pinned against the exact oracle, not bitwise. Patch rows
+// come from g.patchRow, so x is the sample as g's generators read it
+// (the zero-padded plane on the stride-1 path).
+func convSampleDWAxpy(chunk, x, dyi, patches []float32, g *convGeom, outC int) {
+	outArea := g.outH * g.outW
+	k := g.c * g.kh * g.kw
+	clear(chunk[:outC*k])
 	gather := func(p, slot int) []float32 {
 		d := patches[slot*k : (slot+1)*k]
-		if fast1x1 {
-			// 1×1/stride-1/pad-0: the patch row is column p of the
-			// c×outArea input plane.
-			for ci := 0; ci < c; ci++ {
-				d[ci] = srci[ci*outArea+p]
-			}
-			return d
-		}
-		im2rowPatch(d, srci, c, h, w, kh, kw, stride, pad, p/outW, p%outW)
+		g.patchRow(d, x, p/g.outW, p%g.outW)
 		return d
 	}
 	p := 0
@@ -197,28 +175,14 @@ func convSampleDWAxpy(chunk, srci, dyi, patches []float32, c, h, w, outC, kh, kw
 			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 				continue
 			}
-			crow := chunk[oc*k : oc*k+k]
-			if wq > 0 {
-				axpy4FMA(&crow[0], &b0[0], &b1[0], &b2[0], &b3[0], a0, a1, a2, a3, wq)
-			}
-			for x := wq; x < k; x++ {
-				crow[x] += a0*b0[x] + a1*b1[x] + a2*b2[x] + a3*b3[x]
-			}
+			axpy4FMA(&chunk[oc*k], &b0[0], &b1[0], &b2[0], &b3[0], a0, a1, a2, a3, k)
 		}
 	}
 	for ; p < outArea; p++ {
 		b0 := gather(p, 0)
 		for oc := 0; oc < outC; oc++ {
-			av := dyi[oc*outArea+p]
-			if av == 0 {
-				continue
-			}
-			crow := chunk[oc*k : oc*k+k]
-			if wq > 0 {
-				axpyFMA(&crow[0], &b0[0], av, wq)
-			}
-			for x := wq; x < k; x++ {
-				crow[x] += av * b0[x]
+			if av := dyi[oc*outArea+p]; av != 0 {
+				axpyFMA(&chunk[oc*k], &b0[0], av, k)
 			}
 		}
 	}

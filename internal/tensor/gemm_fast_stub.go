@@ -20,11 +20,9 @@ func fastGemmTA(dst, a, b []float32, k, m, n int)       { unreachableFast() }
 func fastGemmTASerial(dst, a, b []float32, k, m, n int) { unreachableFast() }
 func fastGemmTB(dst, a, b []float32, m, k, n int)       { unreachableFast() }
 
-func fastTile1(orow, arow, pb []float32, jw, bs, base int) { unreachableFast() }
+func fastTile1(orow, arow, pb []float32, offs []int, jw int) { unreachableFast() }
 
-func convSampleDWAxpy(chunk, srci, dyi, patches []float32, c, h, w, outC, kh, kw, stride, pad, outH, outW int, fast1x1 bool) {
-	unreachableFast()
-}
+func convSampleDWAxpy(chunk, x, dyi, patches []float32, g *convGeom, outC int) { unreachableFast() }
 
 func fastDot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 	unreachableFast()

@@ -20,7 +20,7 @@ import (
 //     floating-point operations — including the skip-zero fast paths,
 //     which are observable through signed zeros — is exactly the
 //     sequence the reference kernels (matMulRows, matMulTARef,
-//     matMulTBRows, kept below as test oracles) perform. Blocking and
+//     matMulTBRows, kept in matmul_oracle_test.go) perform. Blocking and
 //     register tiling only reorder work across *different* output
 //     elements, never the accumulation order within one, so results
 //     are bitwise equal to the reference at any tile size and worker
@@ -63,6 +63,32 @@ func getPanel(n int) *panelBuf {
 	}
 	p.f = p.f[:n]
 	return p
+}
+
+// rowOffs is a pooled per-row offset table: the tile kernels read B
+// row p of a panel at pb[o[p] : o[p]+jw]. A packed panel of row
+// stride bs has o[p] = p·bs; the stride-1 conv path points the rows
+// into a zero-padded input plane instead (convgemm.go).
+type rowOffs struct{ o []int }
+
+var offsPool = sync.Pool{New: func() any { return new(rowOffs) }}
+
+// getOffs returns a pooled table with k entries.
+func getOffs(k int) *rowOffs {
+	t := offsPool.Get().(*rowOffs)
+	if cap(t.o) < k {
+		t.o = make([]int, k)
+	}
+	t.o = t.o[:k]
+	return t
+}
+
+// strided fills the table for a panel of row stride bs and returns it.
+func (t *rowOffs) strided(bs int) []int {
+	for p := range t.o {
+		t.o[p] = p * bs
+	}
+	return t.o
 }
 
 // packB lays B (k×n) out as contiguous column panels of width
@@ -135,34 +161,32 @@ func Gemm(dst, a, b []float32, m, k, n int) {
 // gemmRows computes output rows [lo, hi) of dst = A·B against a packed
 // B panel, in 2-row register tiles per column panel.
 func gemmRows(od, ad, pb []float32, k, n, lo, hi int) {
+	offs := getOffs(k)
 	for j0 := 0; j0 < n; j0 += gemmJTile {
-		jw := n - j0
-		if jw > gemmJTile {
-			jw = gemmJTile
-		}
-		base := j0 * k
+		jw := min(n-j0, gemmJTile)
+		o := offs.strided(jw)
+		panel := pb[j0*k:]
 		i := lo
 		for ; i+2 <= hi; i += 2 {
 			gemmTile2(od[i*n+j0:i*n+j0+jw], od[(i+1)*n+j0:(i+1)*n+j0+jw],
-				ad[i*k:i*k+k], ad[(i+1)*k:(i+1)*k+k], pb, jw, jw, base)
+				ad[i*k:i*k+k], ad[(i+1)*k:(i+1)*k+k], panel, o, jw)
 		}
 		for ; i < hi; i++ {
-			gemmTile1(od[i*n+j0:i*n+j0+jw], ad[i*k:i*k+k], pb, jw, jw, base)
+			gemmTile1(od[i*n+j0:i*n+j0+jw], ad[i*k:i*k+k], panel, o, jw)
 		}
 	}
+	offsPool.Put(offs)
 }
 
 // gemmTile2 computes the jw-wide output segments o0, o1 of two rows
 // with coefficient rows a0, a1 (len k each) against a B panel whose
-// row p lives at pb[base+p*bs : +jw] (bs = panel row stride; bs == jw
-// for packed panels, larger when the panel is a zero-copy view into a
-// wider matrix). The two rows share each loaded B quad; every row's
-// own update statement and skip-zero check are those of the reference
-// kernel, so each output element sees the identical operation
-// sequence. Two rows (8 A coefficients + 4 shared B values) is the
+// row p lives at pb[offs[p] : +jw] (see rowOffs). The two rows share
+// each loaded B quad; every row's own update statement and skip-zero
+// check are those of the reference kernel, so each output element sees
+// the identical operation sequence. Two rows (8 A coefficients + 4 shared B values) is the
 // widest tile whose live values fit amd64's 16 vector registers — a
 // 4-row tile spills and measures slower than the reference.
-func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
+func gemmTile2(o0, o1, a0, a1, pb []float32, offs []int, jw int) {
 	for x := range o0 {
 		o0[x] = 0
 	}
@@ -170,6 +194,7 @@ func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 		o1[x] = 0
 	}
 	k := len(a0)
+	offs = offs[:k] // one length check instead of one per B row
 	p := 0
 	for ; p+4 <= k; p += 4 {
 		w00, w01, w02, w03 := a0[p], a0[p+1], a0[p+2], a0[p+3]
@@ -179,10 +204,10 @@ func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 		if z0 && z1 {
 			continue
 		}
-		b0 := pb[base+p*bs : base+p*bs+jw]
-		b1 := pb[base+(p+1)*bs : base+(p+1)*bs+jw]
-		b2 := pb[base+(p+2)*bs : base+(p+2)*bs+jw]
-		b3 := pb[base+(p+3)*bs : base+(p+3)*bs+jw]
+		b0 := pb[offs[p] : offs[p]+jw]
+		b1 := pb[offs[p+1] : offs[p+1]+jw]
+		b2 := pb[offs[p+2] : offs[p+2]+jw]
+		b3 := pb[offs[p+3] : offs[p+3]+jw]
 		if !z0 && !z1 {
 			for x := 0; x < jw; x++ {
 				bv0, bv1, bv2, bv3 := b0[x], b1[x], b2[x], b3[x]
@@ -202,7 +227,7 @@ func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 		}
 	}
 	for ; p < k; p++ {
-		brow := pb[base+p*bs : base+p*bs+jw]
+		brow := pb[offs[p] : offs[p]+jw]
 		if av := a0[p]; av != 0 {
 			for x := range o0 {
 				o0[x] += av * brow[x]
@@ -218,22 +243,23 @@ func gemmTile2(o0, o1, a0, a1, pb []float32, jw, bs, base int) {
 
 // gemmTile1 is the single-row remainder of gemmTile2 — the reference
 // kernel body restricted to one column panel. See gemmTile2 for the
-// jw/bs/base panel addressing.
-func gemmTile1(orow, arow, pb []float32, jw, bs, base int) {
+// offs/jw panel addressing.
+func gemmTile1(orow, arow, pb []float32, offs []int, jw int) {
 	for x := range orow {
 		orow[x] = 0
 	}
 	k := len(arow)
+	offs = offs[:k] // one length check instead of one per B row
 	p := 0
 	for ; p+4 <= k; p += 4 {
 		a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue
 		}
-		b0 := pb[base+p*bs : base+p*bs+jw]
-		b1 := pb[base+(p+1)*bs : base+(p+1)*bs+jw]
-		b2 := pb[base+(p+2)*bs : base+(p+2)*bs+jw]
-		b3 := pb[base+(p+3)*bs : base+(p+3)*bs+jw]
+		b0 := pb[offs[p] : offs[p]+jw]
+		b1 := pb[offs[p+1] : offs[p+1]+jw]
+		b2 := pb[offs[p+2] : offs[p+2]+jw]
+		b3 := pb[offs[p+3] : offs[p+3]+jw]
 		for x := range orow {
 			orow[x] += a0*b0[x] + a1*b1[x] + a2*b2[x] + a3*b3[x]
 		}
@@ -243,47 +269,9 @@ func gemmTile1(orow, arow, pb []float32, jw, bs, base int) {
 		if av == 0 {
 			continue
 		}
-		brow := pb[base+p*bs : base+p*bs+jw]
+		brow := pb[offs[p] : offs[p]+jw]
 		for x := range orow {
 			orow[x] += av * brow[x]
-		}
-	}
-}
-
-// matMulRows is the serial reference GEMM kernel over output rows
-// [lo, hi) of an unpacked B. It defines the per-element accumulation
-// order the blocked kernels must reproduce and serves as the bitwise
-// oracle in matmul_oracle_test.go.
-func matMulRows(od, ad, bd []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		orow := od[i*n : (i+1)*n]
-		for x := range orow {
-			orow[x] = 0
-		}
-		arow := ad[i*k : (i+1)*k]
-		p := 0
-		for ; p+4 <= k; p += 4 {
-			a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
-			}
-			b0 := bd[p*n : p*n+n]
-			b1 := bd[(p+1)*n : (p+1)*n+n]
-			b2 := bd[(p+2)*n : (p+2)*n+n]
-			b3 := bd[(p+3)*n : (p+3)*n+n]
-			for j := range orow {
-				orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-			}
-		}
-		for ; p < k; p++ {
-			av := arow[p]
-			if av == 0 {
-				continue
-			}
-			brow := bd[p*n : p*n+n]
-			for j := range orow {
-				orow[j] += av * brow[j]
-			}
 		}
 	}
 }
@@ -401,29 +389,6 @@ func gemmTAShard(od, ad, bd []float32, k, m, n, lo, hi int) {
 	}
 }
 
-// matMulTARef is the serial reference Aᵀ·B kernel: p-outer rank-1
-// updates with a per-coefficient skip. It defines the accumulation
-// order gemmTAShard reproduces and serves as the bitwise oracle in
-// matmul_oracle_test.go.
-func matMulTARef(od, ad, bd []float32, k, m, n int) {
-	for x := range od[:m*n] {
-		od[x] = 0
-	}
-	for p := 0; p < k; p++ {
-		arow := ad[p*m : (p+1)*m]
-		brow := bd[p*n : (p+1)*n]
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			orow := od[i*n : (i+1)*n]
-			for j, bv := range brow {
-				orow[j] += av * bv
-			}
-		}
-	}
-}
-
 // MatMulTB computes A·Bᵀ for A (m×k) and B (n×k), yielding m×n.
 // Used for input gradients: dX = dY · Wᵀ.
 func MatMulTB(a, b *Tensor) *Tensor {
@@ -522,30 +487,6 @@ func gemmTBBlock(od, ad, bd []float32, k, n, lo, hi, j0, j1 int) {
 		}
 		for ; j < j1; j++ {
 			brow := bd[j*k : j*k+k]
-			var s float32
-			p := 0
-			for ; p+4 <= k; p += 4 {
-				s += arow[p]*brow[p] + arow[p+1]*brow[p+1] +
-					arow[p+2]*brow[p+2] + arow[p+3]*brow[p+3]
-			}
-			for ; p < k; p++ {
-				s += arow[p] * brow[p]
-			}
-			orow[j] = s
-		}
-	}
-}
-
-// matMulTBRows is the serial reference A·Bᵀ kernel over output rows
-// [lo, hi) — one dot product per output element. It defines the
-// accumulation order gemmTBRows reproduces and serves as the bitwise
-// oracle in matmul_oracle_test.go.
-func matMulTBRows(od, ad, bd []float32, k, n, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		arow := ad[i*k : (i+1)*k]
-		orow := od[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
-			brow := bd[j*k : (j+1)*k]
 			var s float32
 			p := 0
 			for ; p+4 <= k; p += 4 {

@@ -9,8 +9,8 @@ import (
 // reference kernels they replaced — not merely close: the determinism,
 // kill/resume, and golden-CSV contracts all assume GEMM results never
 // change. The reference kernels (matMulRows, matMulTARef,
-// matMulTBRows) are kept unexported in matmul.go purely as the oracles
-// for these tests.
+// matMulTBRows) live at the end of this file as the oracles for these
+// tests.
 //
 // These suites define the *exact* numerics tier, so they pin it
 // explicitly (restoring the requested tier afterwards): under the
@@ -228,6 +228,91 @@ func TestStreamSeedMatchesStream(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		if a, b := r.Uint64(), fresh.Uint64(); a != b {
 			t.Fatalf("Reseed stream diverges at draw %d: %d vs %d", i, a, b)
+		}
+	}
+}
+
+// matMulRows is the serial reference GEMM kernel over output rows
+// [lo, hi) of an unpacked B. It defines the per-element accumulation
+// order the blocked kernels must reproduce and serves as the bitwise
+// oracle for the tests in this file.
+func matMulRows(od, ad, bd []float32, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		orow := od[i*n : (i+1)*n]
+		for x := range orow {
+			orow[x] = 0
+		}
+		arow := ad[i*k : (i+1)*k]
+		p := 0
+		for ; p+4 <= k; p += 4 {
+			a0, a1, a2, a3 := arow[p], arow[p+1], arow[p+2], arow[p+3]
+			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+				continue
+			}
+			b0 := bd[p*n : p*n+n]
+			b1 := bd[(p+1)*n : (p+1)*n+n]
+			b2 := bd[(p+2)*n : (p+2)*n+n]
+			b3 := bd[(p+3)*n : (p+3)*n+n]
+			for j := range orow {
+				orow[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+			}
+		}
+		for ; p < k; p++ {
+			av := arow[p]
+			if av == 0 {
+				continue
+			}
+			brow := bd[p*n : p*n+n]
+			for j := range orow {
+				orow[j] += av * brow[j]
+			}
+		}
+	}
+}
+
+// matMulTARef is the serial reference Aᵀ·B kernel: p-outer rank-1
+// updates with a per-coefficient skip. It defines the accumulation
+// order gemmTAShard reproduces and serves as the bitwise oracle for
+// the tests in this file.
+func matMulTARef(od, ad, bd []float32, k, m, n int) {
+	for x := range od[:m*n] {
+		od[x] = 0
+	}
+	for p := 0; p < k; p++ {
+		arow := ad[p*m : (p+1)*m]
+		brow := bd[p*n : (p+1)*n]
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			orow := od[i*n : (i+1)*n]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
+// matMulTBRows is the serial reference A·Bᵀ kernel over output rows
+// [lo, hi) — one dot product per output element. It defines the
+// accumulation order gemmTBRows reproduces and serves as the bitwise
+// oracle for the tests in this file.
+func matMulTBRows(od, ad, bd []float32, k, n, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		arow := ad[i*k : (i+1)*k]
+		orow := od[i*n : (i+1)*n]
+		for j := 0; j < n; j++ {
+			brow := bd[j*k : (j+1)*k]
+			var s float32
+			p := 0
+			for ; p+4 <= k; p += 4 {
+				s += arow[p]*brow[p] + arow[p+1]*brow[p+1] +
+					arow[p+2]*brow[p+2] + arow[p+3]*brow[p+3]
+			}
+			for ; p < k; p++ {
+				s += arow[p] * brow[p]
+			}
+			orow[j] = s
 		}
 	}
 }

@@ -315,6 +315,47 @@ func TestConvFastTierMatchesComposition(t *testing.T) {
 	}
 }
 
+// TestFastTierLaneExact: a fast-tier element's bits must not depend on
+// where its column sits in a panel. For every width n in 1..24, the
+// columns of Gemm and GemmTA over B[:, :n] must equal the first n
+// columns over B[:, :24] bit for bit, so a column that falls in the
+// axpy kernels' scalar tail at one width and in a vector lane at
+// another sees the same fused operation sequence. The stride-1 conv
+// path relies on this: its extended output columns shift elements
+// between the vector body and the tail.
+func TestFastTierLaneExact(t *testing.T) {
+	requireFast(t)
+	defer SetNumerics(SetNumerics(NumericsFast))
+	const m, k, full = 5, 11, 24 // k = 2 quads + a 3-row tail
+	a, b := oraclePair(0x1A7E, m, k, full)
+	at := New(k, m) // GemmTA's A operand
+	FillNormal(at, NewRNG(0x1A7E^1), 0, 1)
+	ref := make([]float32, m*full)
+	refTA := make([]float32, m*full)
+	Gemm(ref, a.Data(), b.Data(), m, k, full)
+	GemmTA(refTA, at.Data(), b.Data(), k, m, full)
+	for n := 1; n <= full; n++ {
+		bn := make([]float32, k*n)
+		for p := 0; p < k; p++ {
+			copy(bn[p*n:(p+1)*n], b.Data()[p*full:])
+		}
+		got := make([]float32, m*n)
+		gotTA := make([]float32, m*n)
+		Gemm(got, a.Data(), bn, m, k, n)
+		GemmTA(gotTA, at.Data(), bn, k, m, n)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				if math.Float32bits(got[i*n+j]) != math.Float32bits(ref[i*full+j]) {
+					t.Fatalf("Gemm n=%d: element (%d,%d) = %v, want %v as at n=%d", n, i, j, got[i*n+j], ref[i*full+j], full)
+				}
+				if math.Float32bits(gotTA[i*n+j]) != math.Float32bits(refTA[i*full+j]) {
+					t.Fatalf("GemmTA n=%d: element (%d,%d) = %v, want %v as at n=%d", n, i, j, gotTA[i*n+j], refTA[i*full+j], full)
+				}
+			}
+		}
+	}
+}
+
 // TestConvFastDWAxpyPinned: the axpy-batched fast-tier dW is (1)
 // bit-deterministic and worker-invariant within the fast tier, and (2)
 // ULP/error-bounded against the exact-tier oracle. It no longer claims
